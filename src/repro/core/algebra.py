@@ -40,7 +40,19 @@ since consolidation never changes the flat relation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core import bulk as _bulk
 from repro.core.conflicts import Conflict
@@ -74,6 +86,109 @@ def meet_closure(product: ProductHierarchy, items: Iterable[Item]) -> Set[Item]:
     return product.meet_closure(items)
 
 
+class Sweep(NamedTuple):
+    """What one :func:`pointwise_sweep` produced."""
+
+    #: The meet-closure of the seeds, ancestors first.
+    candidates: List[Item]
+    #: The combined truth of each candidate.
+    truths: List[bool]
+    #: The ``(item, truth)`` pairs to store, in candidate order: the
+    #: non-redundant ones when ``fused``, else every candidate.
+    emitted: List[Tuple[Item, bool]]
+    #: Whether consolidation ran inside the sweep.
+    fused: bool
+    #: Values that entered a meet-closure overlap sweep (0 on a tree).
+    closure_probed: int
+    #: Whole-hierarchy walks the meet-closure made (0 on a tree; the
+    #: redundancy pass only ever visits the candidates' ancestors).
+    hierarchy_sweeps: int
+
+
+def pointwise_sweep(
+    schema: RelationSchema,
+    evaluators: Sequence[object],
+    fn: Callable[..., bool],
+    seeds: Iterable[Item],
+    consolidate: bool,
+    shortcircuit: Optional[str] = None,
+    conflicted: Optional[List[Item]] = None,
+) -> Sweep:
+    """Candidates → truths → redundancy flags → emitted pairs: the one
+    kernel behind the serial engine (:func:`_pointwise`) and every
+    parallel shard (:mod:`repro.parallel.worker`), so the two cannot
+    drift and their output stays bit-identical.
+
+    Evaluates the meet-closure of ``seeds`` through the given truth
+    evaluators in topological order.  With ``consolidate`` on a
+    normal-form product, consolidation is *fused* into the sweep: a
+    candidate whose truth matches all of its minimal already-kept
+    subsumers is never emitted (the fused/two-step choice rides the
+    planner's shared cost model).  Otherwise every candidate is emitted
+    and the caller consolidates.
+
+    ``shortcircuit`` (``"or"`` / ``"and"``) stops probing a candidate's
+    evaluators at the first truth that settles the function value —
+    first *true* for OR, first *false* for AND.
+
+    A candidate whose strongest binders conflict in some input raises
+    :class:`InconsistentRelationError`, unless ``conflicted`` is a
+    list: then the item is appended to it and evaluated as false (a
+    shard reports conflicts and the coordinator judges them).
+    """
+    from repro import planner as _planner
+
+    product = schema.product
+    stats: Counter = Counter()
+    candidates = product.topological_sort(product.meet_closure(seeds, stats))
+    probes = [evaluator.truth for evaluator in evaluators]
+    truths: List[bool] = []  # None marks a conflicted candidate until patched below
+    if shortcircuit is None:
+        for item in candidates:
+            row = []  # written out: a comprehension per candidate costs a frame
+            for probe in probes:
+                row.append(probe(item))
+            truths.append(None if None in row else fn(*row))
+    else:
+        settle = shortcircuit == "or"  # the truth that ends a candidate's scan
+        for item in candidates:
+            value = not settle
+            for probe in probes:
+                truth = probe(item)
+                if truth is None:
+                    value = None
+                    break
+                if truth == settle:
+                    value = settle
+                    break
+            truths.append(value)
+    if None in truths:
+        for i, value in enumerate(truths):
+            if value is None:
+                if conflicted is None:
+                    raise InconsistentRelationError(
+                        [Conflict(item=candidates[i], binders=())]
+                    )
+                conflicted.append(candidates[i])
+                truths[i] = False
+    fused = (
+        consolidate
+        and _planner.consolidation_mode(
+            product.needs_elimination_binding(), len(candidates)
+        )
+        == "fused"
+    )
+    if fused:
+        flags = _redundancy_sweep(schema, candidates, truths)
+        emitted = [
+            pair for pair, redundant in zip(zip(candidates, truths), flags)
+            if not redundant
+        ]
+    else:
+        emitted = list(zip(candidates, truths))
+    return Sweep(candidates, truths, emitted, fused, stats["probed"], stats["sweeps"])
+
+
 def _pointwise(
     schema: RelationSchema,
     strategy,
@@ -86,28 +201,20 @@ def _pointwise(
     shortcircuit: Optional[str] = None,
     est_candidates: Optional[int] = None,
 ) -> HRelation:
-    """The bitset-native pointwise engine every operator rides.
+    """The bitset-native pointwise engine every operator rides: one
+    :func:`pointwise_sweep`, stored through the trusted bulk-load path
+    (:meth:`HRelation.load_tuples` — the pairs are schema-checked
+    candidates, each distinct, so per-tuple validation, version bumps
+    and delta-log appends would be spent on a result nobody else can
+    see yet).  Non-normal-form products then run the literal
+    consolidation procedure.
 
-    Evaluates the meet-closure of ``seeds`` through the given truth
-    evaluators (bulk evaluators, projection adaptors, or cone
-    evaluators) in topological order.  With ``consolidate=True`` on a
-    normal-form product, consolidation is *fused* into the emission
-    sweep: a candidate whose truth matches all of its minimal
-    already-emitted subsumers (the immediate predecessors of the
-    would-be subsumption graph) is simply never asserted, replacing the
-    build-relation-then-consolidate round trip with one pass over the
-    same posting masks.  Non-normal-form products emit everything and
-    run the literal consolidation procedure (the fused/two-step choice
-    rides the planner's shared cost model when the planner is on).
-
-    ``shortcircuit`` (``"or"`` / ``"and"``, set by the planner for
-    symmetric combining functions) stops probing a candidate's
-    evaluators at the first truth that settles the function value —
-    first *true* for OR, first *false* for AND.  The candidate set,
-    every emitted truth and the emission order are exactly those of the
-    exhaustive loop, so results stay bit-identical; only conflict
-    *detection* narrows, to the probes actually made (the documented
-    precondition — consistent inputs — is unaffected).
+    ``shortcircuit`` is set by the planner for symmetric combining
+    functions.  The candidate set, every emitted truth and the emission
+    order are exactly those of the exhaustive loop, so results stay
+    bit-identical; only conflict *detection* narrows, to the probes
+    actually made (the documented precondition — consistent inputs — is
+    unaffected).
 
     ``est_candidates`` is the planner's pre-evaluation candidate
     estimate: recorded on the span next to the actual count (EXPLAIN
@@ -118,76 +225,31 @@ def _pointwise(
     ``candidates`` / ``truths`` lists — the state the delta-refresh
     path of :mod:`repro.core.views` patches incrementally.
     """
-    from repro import planner as _planner
-
-    product = schema.product
     with _span("algebra.pointwise", inputs=len(evaluators)) as sp:
-        candidates = product.topological_sort(meet_closure(product, seeds))
-        sp.annotate(candidates=len(candidates))
-        if est_candidates is not None:
-            sp.annotate(est_candidates=est_candidates)
-            _planner.observe_estimate("pointwise", est_candidates, len(candidates))
-        fused = (
-            consolidate
-            and _planner.consolidation_mode(
-                product.needs_elimination_binding(), len(candidates)
-            )
-            == "fused"
+        sweep = pointwise_sweep(
+            schema, evaluators, fn, seeds, consolidate, shortcircuit=shortcircuit
         )
-        sp.annotate(fused=fused)
-        truths: List[bool] = []
-        if shortcircuit == "or":
-            for item in candidates:
-                value = False
-                for evaluator in evaluators:
-                    truth = evaluator.truth(item)
-                    if truth is None:
-                        raise InconsistentRelationError(
-                            [Conflict(item=item, binders=())]
-                        )
-                    if truth:
-                        value = True
-                        break
-                truths.append(value)
-        elif shortcircuit == "and":
-            for item in candidates:
-                value = True
-                for evaluator in evaluators:
-                    truth = evaluator.truth(item)
-                    if truth is None:
-                        raise InconsistentRelationError(
-                            [Conflict(item=item, binders=())]
-                        )
-                    if not truth:
-                        value = False
-                        break
-                truths.append(value)
-        else:
-            for item in candidates:
-                row: List[bool] = []
-                for evaluator in evaluators:
-                    truth = evaluator.truth(item)
-                    if truth is None:
-                        raise InconsistentRelationError(
-                            [Conflict(item=item, binders=())]
-                        )
-                    row.append(truth)
-                truths.append(fn(*row))
+        sp.annotate(
+            candidates=len(sweep.candidates),
+            closure_probed=sweep.closure_probed,
+            hierarchy_sweeps=sweep.hierarchy_sweeps,
+            fused=sweep.fused,
+        )
+        if est_candidates is not None:
+            from repro import planner as _planner
+
+            sp.annotate(est_candidates=est_candidates)
+            _planner.observe_estimate(
+                "pointwise", est_candidates, len(sweep.candidates)
+            )
         if capture is not None:
-            capture["candidates"] = candidates
-            capture["truths"] = truths
+            capture["candidates"] = sweep.candidates
+            capture["truths"] = sweep.truths
         out = HRelation(schema, name=name, strategy=strategy)
-        if fused:
+        out.load_tuples(sweep.emitted)
+        if sweep.fused:
             default_registry().counter("algebra.fused_sweeps").inc()
-            flags = _redundancy_sweep(schema, candidates, truths)
-            for item, truth, redundant in zip(candidates, truths, flags):
-                if not redundant:
-                    out.assert_item(item, truth=truth)
-            sp.annotate(tuples_out=len(out))
-            return out
-        for item, truth in zip(candidates, truths):
-            out.assert_item(item, truth=truth)
-        if consolidate:
+        elif consolidate:
             out = _consolidate(out, name=name)
         sp.annotate(tuples_out=len(out))
         return out
@@ -368,25 +430,57 @@ def select(
         )
         if sharded is not None:
             return sharded
-        # The selection cone is a one-tuple relation whose truth function is
-        # plain subsumption — valid under every strategy — so it is evaluated
-        # directly instead of being materialised and re-bound.
-        evaluators = [
-            _bulk.evaluator_for(relation),
-            _bulk.ConeEvaluator(schema.product, cone_item),
-        ]
-        seeds: Set[Item] = set(relation.asserted)
-        seeds.add(cone_item)
-        return _pointwise(
-            schema,
-            relation.strategy,
-            evaluators,
+        return _cone_pointwise(
+            relation,
+            [cone_item],
             lambda a, b: a and b,
             name or "{}_where".format(relation.name),
-            seeds,
             consolidate,
             capture=capture,
         )
+
+
+def select_cones(
+    relation: HRelation,
+    cones: Sequence[Item],
+    fn: Callable[..., bool],
+    name: str,
+    consolidate: bool = True,
+) -> HRelation:
+    """Selection by membership in several cones at once: keep the atoms
+    where ``fn(in relation, in cones[0], in cones[1], ...)`` holds.
+
+    ``fn`` must be false whenever its first argument is.  This is the
+    engine behind :func:`repro.core.where.select_where`;
+    :func:`select` is its one-cone AND case.
+    """
+    _count("select")
+    with _span(
+        "algebra.select", source=relation.name, tuples_in=len(relation)
+    ):
+        return _cone_pointwise(relation, cones, fn, name, consolidate)
+
+
+def _cone_pointwise(
+    relation: HRelation,
+    cones: Sequence[Item],
+    fn: Callable[..., bool],
+    name: str,
+    consolidate: bool,
+    capture: Optional[Dict] = None,
+) -> HRelation:
+    # A selection cone is a one-tuple relation whose truth function is
+    # plain subsumption — valid under every strategy — so it is evaluated
+    # directly instead of being materialised and re-bound.
+    schema = relation.schema
+    evaluators: List[object] = [_bulk.evaluator_for(relation)]
+    evaluators.extend(_bulk.ConeEvaluator(schema.product, cone) for cone in cones)
+    seeds: Set[Item] = set(relation.asserted)
+    seeds.update(cones)
+    return _pointwise(
+        schema, relation.strategy, evaluators, fn, name, seeds, consolidate,
+        capture=capture,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -289,38 +289,50 @@ class ConeEvaluator:
     can evaluate its selection cone without building a relation."""
 
     def __init__(self, product, cone_item: Item) -> None:
-        self._product = product
-        self._cone = cone_item
+        # One (position, descendant bitset, rank table) test per
+        # component; a root component subsumes every value and needs none.
+        self._tests = [
+            (position, factor.descendant_mask(value), factor.topological_ranks())
+            for position, (factor, value) in enumerate(zip(product.factors, cone_item))
+            if value != factor.root
+        ]
 
     def truth(self, item: Item) -> bool:
-        return self._product.subsumes(self._cone, item)
+        for position, cone, rank in self._tests:
+            if not cone >> rank[item[position]] & 1:
+                return False
+        return True
 
 
 def subsumer_masks(schema, items: Sequence[Item]) -> List[int]:
     """Per item, the bitset of *other* ``items`` strictly subsuming it.
 
     One posting sweep per attribute (seed each item's bit on its value,
-    :meth:`Hierarchy.downward_union` pushes it over the value's cone)
-    replaces the pairwise ``subsumes`` scan: the strict subsumers of
-    item *i* are the AND across attributes of the masks at its values,
-    minus its own bit.  This is the substrate the bulk consolidation
-    sweep and the vectorised subsumption graph read from.
+    :meth:`Hierarchy.ancestor_union` gathers at each value the bits
+    seeded on or above it) replaces the pairwise ``subsumes`` scan: the
+    strict subsumers of item *i* are the AND across attributes of the
+    masks at its values, minus its own bit.  Only the items' values and
+    their ancestors are visited, so the cost follows the items, not the
+    hierarchy.  This is the substrate the bulk consolidation sweep and
+    the vectorised subsumption graph read from.
     """
     postings: List[Dict[str, int]] = []
     for position, hierarchy in enumerate(schema.hierarchies):
         seed: Dict[str, int] = {}
-        for i, item in enumerate(items):
+        bit = 1
+        for item in items:
             value = item[position]
-            seed[value] = seed.get(value, 0) | (1 << i)
-        postings.append(hierarchy.downward_union(seed))
+            seed[value] = seed.get(value, 0) | bit
+            bit <<= 1
+        postings.append(hierarchy.ancestor_union(seed, seed))
     out: List[int] = []
-    for i, item in enumerate(items):
-        mask = postings[0].get(item[0], 0)
+    bit = 1  # item i's own bit: set in its mask (it subsumes itself), XORed out
+    for item in items:
+        mask = postings[0][item[0]]
         for position in range(1, len(postings)):
-            if not mask:
-                break
-            mask &= postings[position].get(item[position], 0)
-        out.append(mask & ~(1 << i))
+            mask &= postings[position][item[position]]
+        out.append(mask ^ bit)
+        bit <<= 1
     return out
 
 

@@ -79,25 +79,31 @@ def redundancy_sweep(
     ``needs_elimination_binding``).
     """
     subsumers = _bulk.subsumer_masks(schema, items)
-    kept = 0
+    kept_true = kept_false = 0  # the kept items so far, by truth value
+    bit = 1
     flags: List[bool] = []
-    for i, truth in enumerate(truths):
-        preds = subsumers[i] & kept
-        if preds:
-            minimal = _bulk.minimal_of_mask(preds, subsumers)
+    for above, truth in zip(subsumers, truths):
+        if truth:
+            agree, differ = above & kept_true, above & kept_false
+        else:
+            agree, differ = above & kept_false, above & kept_true
+        if agree and differ:
+            # Kept subsumers of both signs: only the minimal ones are
+            # predecessors.  (Unanimous ones are decided without it.)
+            differ &= _bulk.minimal_of_mask(agree | differ, subsumers)
+        if differ:
+            same = False
+        elif agree:
             same = True
-            rest = minimal
-            while rest:
-                low = rest & -rest
-                if truths[low.bit_length() - 1] != truth:
-                    same = False
-                    break
-                rest ^= low
         else:
             same = truth is UNIVERSAL.truth
         flags.append(same)
         if not same:
-            kept |= 1 << i
+            if truth:
+                kept_true |= bit
+            else:
+                kept_false |= bit
+        bit <<= 1
     return flags
 
 

@@ -135,29 +135,27 @@ def select_where(relation, condition: Condition, name: str | None = None,
     is always a sub-relation of the input (zero-preservation holds
     whatever the condition, including pure negations).
     """
-    from repro.core.algebra import combine
-    from repro.core.relation import HRelation
+    from repro.core.algebra import select_cones
 
     leaves: List[Member] = []
     for leaf in condition.members():
         if leaf not in leaves:
             leaves.append(leaf)
-    cones = []
-    for leaf in leaves:
-        cone_item = relation.schema.item_from_mapping(
+    cones = [
+        relation.schema.item_from_mapping(
             {leaf.attribute: leaf.node}, default_top=True
         )
-        cone = HRelation(relation.schema, name="cone", strategy=relation.strategy)
-        cone.assert_item(cone_item, truth=True)
-        cones.append(cone)
+        for leaf in leaves
+    ]
 
     def fn(relation_truth: bool, *cone_truths: bool) -> bool:
         assignment = dict(zip(leaves, cone_truths))
         return relation_truth and condition.evaluate(assignment)
 
-    return combine(
-        [relation, *cones],
+    return select_cones(
+        relation,
+        cones,
         fn,
-        name=name or "{}_where".format(relation.name),
+        name or "{}_where".format(relation.name),
         consolidate=consolidate,
     )

@@ -556,8 +556,10 @@ class HQLExecutor:
     def _exec_extension(self, stmt: ast.Extension) -> Result:
         relation = self._relation(stmt.relation)
         rows = sorted(relation.extension())
-        table = render_rows(list(relation.schema.attributes), rows)
-        return Result(kind="extension", payload=rows, message=table)
+        headers = list(relation.schema.attributes)
+        return Result(
+            kind="extension", payload=rows, render=lambda: render_rows(headers, rows)
+        )
 
     def _exec_show(self, stmt: ast.Show) -> Result:
         if stmt.what == "RELATIONS":
@@ -565,14 +567,16 @@ class HQLExecutor:
                 (r.name, str(len(r)), ", ".join(r.schema.attributes))
                 for r in self.database.relations.values()
             ]
-            table = render_rows(["relation", "tuples", "attributes"], rows)
-            return Result(kind="show", payload=rows, message=table)
-        rows = [
-            (h.name, str(len(h)), str(len(h.leaves())))
-            for h in self.database.hierarchies.values()
-        ]
-        table = render_rows(["hierarchy", "nodes", "leaves"], rows)
-        return Result(kind="show", payload=rows, message=table)
+            headers = ["relation", "tuples", "attributes"]
+        else:
+            rows = [
+                (h.name, str(len(h)), str(len(h.leaves())))
+                for h in self.database.hierarchies.values()
+            ]
+            headers = ["hierarchy", "nodes", "leaves"]
+        return Result(
+            kind="show", payload=rows, render=lambda: render_rows(headers, rows)
+        )
 
     def _exec_count(self, stmt: ast.Count) -> Result:
         from repro.core import aggregate
@@ -813,8 +817,11 @@ class HQLExecutor:
             "core": default_registry().snapshot(),
             "planner": planner_state,
         }
-        table = render_rows(["metric", "value"], rows)
-        return Result(kind="stats", payload=payload, message=table)
+        return Result(
+            kind="stats",
+            payload=payload,
+            render=lambda: render_rows(["metric", "value"], rows),
+        )
 
     def _exec_load(self, stmt: ast.Load) -> Result:
         from repro.engine.storage import load_database

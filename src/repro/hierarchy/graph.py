@@ -29,6 +29,7 @@ counter bumped on every mutation.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -83,6 +84,8 @@ class Hierarchy:
         self._order_cache: Tuple[List[str], Dict[str, int], Dict[str, int]] = ([], {}, {})
         self._redundant_version = -1
         self._redundant_cache: Set[Tuple[str, str]] = set()
+        self._meet_capable_version = -1
+        self._meet_capable_cache: FrozenSet[str] = frozenset()
 
     # ------------------------------------------------------------------
     # construction
@@ -381,33 +384,77 @@ class Hierarchy:
             rest ^= low
         return out
 
-    def meet_closed_values(self, values: Iterable[str]) -> Set[str]:
-        """The smallest superset of ``values`` closed under pairwise
-        meets (:meth:`maximal_common_descendants`), computed as a bulk
-        bitset sweep rather than a quadratic scan of node pairs.
+    def meet_capable(self) -> FrozenSet[str]:
+        """The nodes with a (reflexive) descendant that has two or more
+        class parents — the only values that can take part in a meet
+        that is not already one of its arguments.
 
-        Each round seeds the pool values onto their nodes, sweeps the
-        masks down (:meth:`downward_union`) and back up the class graph,
-        so every pool value knows — in one pass — exactly which other
-        pool values share a descendant with it.  Only those pairs are
-        probed for meets; comparable pairs are skipped outright (their
-        meet is the lower value, already pooled).  Disjoint-heavy pools
-        (the common case for stored relations) therefore cost O(V + E)
-        per round instead of O(pool**2) full-graph scans.
+        Why: let ``a`` and ``b`` be incomparable and ``m`` one of their
+        maximal common descendants.  ``m`` is neither ``a`` nor ``b``,
+        so it is entered from a parent below ``a`` and from a parent
+        below ``b``; were those the same node it would be a common
+        descendant strictly above ``m``.  Hence ``m`` has two parents
+        and lies below both ``a`` and ``b``.
+
+        A tree has none.  Cached per hierarchy version; a plain upward
+        walk from the multi-parent nodes, so it never forces the bitset
+        build in :meth:`_masks`."""
+        if self._meet_capable_version == self._version:
+            return self._meet_capable_cache
+        capable: Set[str] = set()
+        stack = [node for node, parents in self._parents.items() if len(parents) > 1]
+        while stack:
+            node = stack.pop()
+            if node not in capable:
+                capable.add(node)
+                stack.extend(self._parents[node])
+        self._meet_capable_cache = frozenset(capable)
+        self._meet_capable_version = self._version
+        return self._meet_capable_cache
+
+    def meet_closed_values(
+        self, values: Iterable[str], stats: Counter | None = None
+    ) -> Set[str]:
+        """The smallest superset of ``values`` closed under pairwise
+        meets (:meth:`maximal_common_descendants`).
+
+        Only :meth:`meet_capable` values can produce a meet outside the
+        pool, so the rest are closed as they stand: on a tree the answer
+        is ``set(values)`` and the hierarchy is never walked.  The
+        capable values go through a bulk bitset sweep rather than a
+        quadratic scan of node pairs: each round seeds them onto their
+        nodes, sweeps the masks down (:meth:`downward_union`) and back
+        up the class graph, so every capable value knows — in one pass
+        — exactly which others share a descendant with it.  Only those
+        pairs are probed for meets; comparable pairs are skipped
+        outright (their meet is the lower value, already pooled).  A
+        new meet has two parents, so it is capable and joins the next
+        round.
+
+        ``stats``, when given, is a :class:`collections.Counter`
+        incremented in place: ``probed`` by the values that entered an
+        overlap sweep, ``sweeps`` by the whole-hierarchy walks made (two
+        per round: down, then up).
         """
-        masks = self._masks()
-        desc = masks["desc"]
-        order: List[str] = []
+        capable = self.meet_capable()
         pool: Set[str] = set()
+        order: List[str] = []  # the capable pool values, first seen first
         for value in values:
-            self._require(value)
             if value not in pool:
+                self._require(value)
                 pool.add(value)
-                order.append(value)
+                if value in capable:
+                    order.append(value)
+        if len(order) < 2:
+            return pool
+        desc = self._masks()["desc"]
         start = 0
         while start < len(order):
             frontier = len(order)
-            overlap = self._overlap_masks(order[:frontier])
+            overlap = self._overlap_masks(order)
+            if stats is not None:
+                stats["probed"] += frontier - start
+                stats["sweeps"] += 2
             for j in range(start, frontier):
                 vj = order[j]
                 dj = desc[vj]
@@ -485,6 +532,35 @@ class Hierarchy:
             for parent in self._parents[node]:
                 mask |= out[parent]
             out[node] = mask
+        return out
+
+    def ancestor_union(self, seed: Dict[str, int], nodes: Iterable[str]) -> Dict[str, int]:
+        """:meth:`downward_union` at ``nodes`` only: per node, the union
+        of the seed masks of its (reflexive) ancestors.
+
+        Walks up from each node and memoises, so the cost is the upward
+        closure of ``nodes`` — for a candidate pool, the pool plus the
+        classes above it — not the hierarchy.  The result also holds
+        the ancestors visited on the way.
+        """
+        out: Dict[str, int] = {}
+        parents_of = self._parents
+        for start in nodes:
+            if start in out:
+                continue
+            stack = [start]
+            while stack:
+                node = stack[-1]
+                mask = seed.get(node, 0)
+                for parent in parents_of[node]:
+                    above = out.get(parent)
+                    if above is None:
+                        stack.append(parent)  # finish the parent first
+                        break
+                    mask |= above
+                else:
+                    out[node] = mask
+                    stack.pop()
         return out
 
     def redundant_edges(self) -> Set[Tuple[str, str]]:

@@ -28,6 +28,7 @@ Structural facts used throughout (proved componentwise):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import SchemaError, UnknownNodeError
@@ -121,32 +122,46 @@ class ProductHierarchy:
             per_attribute.append(meets)
         return [tuple(combo) for combo in itertools.product(*per_attribute)]
 
-    def meet_closure(self, items: Iterable[Item]) -> Set[Item]:
+    def meet_closure(
+        self, items: Iterable[Item], stats: Counter | None = None
+    ) -> Set[Item]:
         """The smallest superset of ``items`` closed under pairwise meets.
 
-        Unary products delegate to the factor's bulk closed-value-set
-        sweep (:meth:`Hierarchy.meet_closed_values`): no item pairs are
-        enumerated at all.  Higher arities probe only the pairs that can
-        possibly meet: each round, one :meth:`Hierarchy.overlap_union`
-        sweep per attribute tells every pool item which earlier items
-        share a descendant with it on that attribute, and the AND across
-        attributes is exactly the pairs with a non-empty product meet.
+        Unary products delegate to the factor's closed-value-set routine
+        (:meth:`Hierarchy.meet_closed_values`): no item pairs are
+        enumerated at all, and only meet-capable values are swept.
+        Higher arities probe only the pairs that can possibly meet: each
+        round, one :meth:`Hierarchy.overlap_union` sweep per attribute
+        tells every pool item which earlier items share a descendant
+        with it on that attribute, and the AND across attributes is
+        exactly the pairs with a non-empty product meet.  (Two items
+        comparable on every attribute, in opposite directions, meet in a
+        third, so the meet-capable shortcut does not carry over.)
         Disjoint-heavy pools (stored relations mostly are) therefore
         cost O(attributes · (V + E)) per round instead of a quadratic
         pair scan, and each surviving probe hits the factors' memoised
         meet tables.
+
+        ``stats`` is incremented as :meth:`Hierarchy.meet_closed_values`
+        describes.
         """
         pool: Set[Item] = set(items)
         if not pool:
             return pool
         if self.arity == 1:
             factor = self.factors[0]
-            return {(value,) for value in factor.meet_closed_values(v for (v,) in pool)}
+            closed = factor.meet_closed_values((v for (v,) in pool), stats)
+            if len(closed) == len(pool):  # nothing met: the items are the closure
+                return pool
+            return {(value,) for value in closed}
         order: List[Item] = list(pool)
         start = 0
         while start < len(order):
             frontier = len(order)
-            partner_masks = self._partner_masks(order[:frontier])
+            partner_masks = self._partner_masks(order)
+            if stats is not None:
+                stats["probed"] += frontier - start
+                stats["sweeps"] += 2 * self.arity
             for j in range(start, frontier):
                 new = order[j]
                 partners = partner_masks[j] & ((1 << j) - 1)

@@ -255,8 +255,7 @@ def maybe_pointwise(
             ],
         )
         out = HRelation(schema, name=name, strategy=strategy)
-        for item, truth in merged:
-            out.assert_item(item, truth=truth)
+        out.load_tuples(merged)
         sp.annotate(tuples_out=len(out))
         return out
 

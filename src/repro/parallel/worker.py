@@ -31,7 +31,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import bulk as _bulk
-from repro.core.consolidate import redundancy_sweep
+from repro.core.algebra import pointwise_sweep
 from repro.core.preemption import STRATEGIES
 from repro.core.relation import HRelation
 from repro.core.schema import RelationSchema
@@ -135,40 +135,24 @@ class _ShardContext:
 
 
 def _pointwise(context: _ShardContext, task: dict) -> dict:
-    fn = FN_TOKENS[task["fn_token"]]
-    product = context.schema.product
-    candidates = product.topological_sort(product.meet_closure(context.seeds))
-    truths: List[bool] = []
+    # A conflict is genuine only if this shard owns the item — the
+    # coordinator decides; meanwhile the sweep evaluates it as false
+    # (the owner's copy, not this one, is what gets emitted).
     inconsistent: List[Item] = []
-    for item in candidates:
-        row: List[bool] = []
-        conflicted = False
-        for evaluator in context.evaluators:
-            truth = evaluator.truth(item)
-            if truth is None:
-                # Genuine only if this shard owns the item — the
-                # coordinator decides; meanwhile evaluate as false (the
-                # owner's copy, not this one, is what gets emitted).
-                inconsistent.append(item)
-                conflicted = True
-                break
-            row.append(truth)
-        truths.append(False if conflicted else fn(*row))
-    if task["consolidate"] and not product.needs_elimination_binding():
-        flags = redundancy_sweep(context.schema, candidates, truths)
-    else:
-        flags = [False] * len(candidates)
-    emitted = [
-        (item, truth)
-        for item, truth, redundant in zip(candidates, truths, flags)
-        if not redundant
-    ]
+    sweep = pointwise_sweep(
+        context.schema,
+        context.evaluators,
+        FN_TOKENS[task["fn_token"]],
+        context.seeds,
+        task["consolidate"],
+        conflicted=inconsistent,
+    )
     return {
         "ok": True,
         "shard": context.snapshot.shard,
-        "emitted": emitted,
+        "emitted": sweep.emitted,
         "inconsistent": inconsistent,
-        "candidates": len(candidates),
+        "candidates": len(sweep.candidates),
     }
 
 

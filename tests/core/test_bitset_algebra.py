@@ -6,7 +6,15 @@ import pytest
 from repro.errors import SchemaError
 from repro.hierarchy import Hierarchy
 from repro.core import HRelation, RelationSchema
-from repro.core.algebra import divide, join, project, union
+from repro.core.algebra import (
+    difference,
+    divide,
+    intersection,
+    join,
+    project,
+    select,
+    union,
+)
 from repro.core.bulk import BulkEvaluator, ConeEvaluator, ProjectedEvaluator
 from repro.core.preemption import STRATEGIES
 
@@ -175,3 +183,74 @@ def test_union_falls_back_to_graph_consolidation_with_redundant_edges():
     fused = union(left, right, consolidate=True)
     two_step = consolidate(union(left, right, consolidate=False))
     assert fused.same_tuples_as(two_step)
+
+
+# ----------------------------------------------------------------------
+# trusted emission: a pointwise result is one bulk load
+# ----------------------------------------------------------------------
+
+
+def _pointwise_results(loves):
+    jack, jill = loves.jack_loves, loves.jill_loves
+    yield "union", union(jack, jill), union(jack, jill, consolidate=False)
+    yield "intersection", intersection(jack, jill), intersection(
+        jack, jill, consolidate=False
+    )
+    yield "difference", difference(jack, jill), difference(
+        jack, jill, consolidate=False
+    )
+    yield "select", select(jack, {"creature": "penguin"}), select(
+        jack, {"creature": "penguin"}, consolidate=False
+    )
+
+
+def test_pointwise_result_stores_what_per_tuple_asserts_would(loves):
+    from repro.core.consolidate import consolidate
+
+    for label, result, unconsolidated in _pointwise_results(loves):
+        # Same items and signs as the literal two-step procedure ...
+        assert result.same_tuples_as(consolidate(unconsolidated)), label
+        # ... in the sweep's emission order (ancestors first) ...
+        product = result.schema.product
+        assert list(result.asserted) == product.topological_sort(result.asserted), label
+        # ... and indistinguishable from asserting the pairs one by one.
+        one_by_one = HRelation(result.schema, name=result.name)
+        for item, truth in result.asserted.items():
+            one_by_one.assert_item(item, truth=truth)
+        assert list(one_by_one.asserted.items()) == list(result.asserted.items()), label
+        assert result.version == one_by_one.version == len(result), label
+
+
+def test_pointwise_result_has_no_replayable_history_until_mutated(loves):
+    result = union(loves.jack_loves, loves.jill_loves)
+    assert len(result) > 0
+    assert result.changes_since(0) is None  # not a bogus "nothing changed"
+    assert result.changes_since(result.version) == []
+    stamp = result.version
+    result.assert_item(("tweety",), truth=False)
+    assert result.changes_since(stamp) == [("tweety",)]
+
+
+def test_view_over_a_replaced_pointwise_result_refreshes_in_full(loves):
+    from repro.core.views import MaterializedView, ViewPlan
+
+    jack, jill = loves.jack_loves, loves.jill_loves
+    slot = {"source": intersection(jack, jill)}
+    view = MaterializedView(
+        "penguin_lovers",
+        plan=ViewPlan(
+            "select", [lambda: slot["source"]], conditions={"creature": "penguin"}
+        ),
+    )
+    assert view.relation().same_tuples_as(
+        select(slot["source"], {"creature": "penguin"})
+    )
+    # Rebind the source name to a fresh pointwise result that stores one
+    # tuple more, so its version runs past the view's cursor: per-tuple
+    # emission left a delta log that answered "one item changed" here.
+    jill.assert_item(("paul",), truth=False)
+    slot["source"] = union(jack, jill)
+    replaced = slot["source"]
+    assert replaced.version > view._cursors[0]
+    assert view.relation().same_tuples_as(select(replaced, {"creature": "penguin"}))
+    assert (view.refresh_count, view.delta_refresh_count) == (2, 0)

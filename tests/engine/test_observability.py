@@ -53,6 +53,21 @@ class TestExplainAnalyze:
         assert "fused=" in message
         assert "cache=miss" in message
 
+    def test_tree_shaped_cone_walks_the_hierarchy_zero_times(self, db):
+        (result,) = db.execute("EXPLAIN ANALYZE UNION flies WITH swims;")
+        assert "closure_probed=0 hierarchy_sweeps=0" in result.message
+
+    def test_only_values_above_a_multi_parent_node_are_probed(self, db):
+        db.execute(
+            "CREATE CLASS swimmer IN animal;"
+            "CREATE INSTANCE pingu IN animal UNDER penguin, swimmer;"
+            "ASSERT swims (swimmer);"
+        )
+        (result,) = db.execute("EXPLAIN ANALYZE UNION flies WITH swims;")
+        # bird, penguin and swimmer sit above the two-parent pingu; their
+        # meet, pingu itself, joins for a second down-and-up round.
+        assert "closure_probed=4 hierarchy_sweeps=4" in result.message
+
     def test_cache_hit_shortens_the_tree(self, db):
         db.execute("EXPLAIN ANALYZE UNION flies WITH swims;")
         (hit,) = db.execute("EXPLAIN ANALYZE UNION flies WITH swims;")

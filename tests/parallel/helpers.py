@@ -52,10 +52,12 @@ def cone_relations(hierarchy: Hierarchy, strategy: str = "off-path"):
 
 def same_relation(one: HRelation, other: HRelation) -> bool:
     """Bit-identical: equal asserted maps (items, signs, and — via the
-    shared insertion order contract — enumeration order)."""
+    shared insertion order contract — enumeration order), stamped with
+    the same version (both sides store through the same bulk load)."""
     return (
         dict(one.asserted) == dict(other.asserted)
         and list(one.asserted) == list(other.asserted)
+        and one.version == other.version
     )
 
 

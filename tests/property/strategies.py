@@ -17,14 +17,19 @@ from repro.core import HRelation, RelationSchema
 
 
 @st.composite
-def hierarchies(draw, max_nodes: int = 7, name: str = "h") -> Hierarchy:
-    """A random rooted DAG with no redundant edges."""
+def hierarchies(
+    draw, max_nodes: int = 7, name: str = "h", max_parents: int = 2
+) -> Hierarchy:
+    """A random rooted DAG with no redundant edges (``max_parents=1``:
+    a tree)."""
     count = draw(st.integers(min_value=1, max_value=max_nodes))
     edges: dict = {"root": set()}
     names = ["n{}".format(i) for i in range(count)]
     for i, node in enumerate(names):
         pool = ["root"] + names[:i]
-        parent_count = draw(st.integers(min_value=1, max_value=min(2, len(pool))))
+        parent_count = draw(
+            st.integers(min_value=1, max_value=min(max_parents, len(pool)))
+        )
         parents = draw(
             st.lists(
                 st.sampled_from(pool),

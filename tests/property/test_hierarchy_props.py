@@ -1,6 +1,8 @@
 """Property tests for hierarchy algorithms, cross-checked against
 networkx where a reference implementation exists."""
 
+from collections import Counter
+
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +116,84 @@ def test_leaves_under_matches_brute_force(h):
             if nx.has_path(graph, node, n) and not h.children(n)
         }
         assert set(h.leaves_under(node)) == brute
+
+
+# ----------------------------------------------------------------------
+# meet-closure: the restricted sweep against the unrestricted definition
+# ----------------------------------------------------------------------
+
+
+def brute_force_meet_closure(h, values):
+    """The oracle: close ``values`` under pairwise meets by probing every
+    pair until nothing new turns up — no sweep, no pruning."""
+    pool = set(values)
+    while True:
+        found = {
+            node
+            for a in pool
+            for b in pool
+            for node in h.maximal_common_descendants(a, b)
+        }
+        if found <= pool:
+            return pool
+        pool |= found
+
+
+def subsets(h, data, label):
+    return data.draw(
+        st.lists(st.sampled_from(h.nodes()), unique=True, max_size=len(h)),
+        label=label,
+    )
+
+
+@given(hierarchies(max_nodes=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_meet_closed_values_matches_brute_force_on_dags(h, data):
+    values = subsets(h, data, "values")
+    stats = Counter()
+    closed = h.meet_closed_values(values, stats)
+    assert closed == brute_force_meet_closure(h, values)
+    # Only meet-capable values are ever swept; the rest are closed as given.
+    assert stats["probed"] <= len(closed & h.meet_capable())
+
+
+@given(hierarchies(max_nodes=10, max_parents=1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_meet_closed_values_is_the_identity_on_trees(h, data):
+    values = subsets(h, data, "values")
+    stats = Counter()
+    assert h.meet_capable() == frozenset()
+    assert h.meet_closed_values(values, stats) == set(values)
+    assert h.meet_closed_values(values) == brute_force_meet_closure(h, values)
+    assert stats == {}  # nothing probed, the hierarchy never walked
+
+
+@given(hierarchies(max_nodes=10))
+@settings(max_examples=60, deadline=None)
+def test_meet_capable_is_the_cone_above_multi_parent_nodes(h):
+    graph = to_nx(h)
+    joins = [n for n in h.nodes() if len(h.parents(n)) > 1]
+    brute = {
+        n for n in h.nodes() if any(nx.has_path(graph, n, join) for join in joins)
+    }
+    assert h.meet_capable() == brute
+    # ... and the argument it rests on: a meet that is neither of its
+    # arguments has two parents and lies below both.
+    for a in h.nodes():
+        for b in h.nodes():
+            for m in h.maximal_common_descendants(a, b):
+                if m not in (a, b):
+                    assert len(h.parents(m)) > 1
+                    assert {a, b} <= h.meet_capable()
+
+
+@given(hierarchies(max_nodes=10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ancestor_union_is_downward_union_at_the_asked_nodes(h, data):
+    seeded = subsets(h, data, "seeded")
+    asked = subsets(h, data, "asked")
+    seed = {node: 1 << i for i, node in enumerate(seeded)}
+    full = h.downward_union(seed)
+    partial = h.ancestor_union(seed, asked)
+    assert set(asked) <= set(partial)
+    assert all(partial[node] == full[node] for node in partial)

@@ -50,6 +50,26 @@ class TestBasics:
             assert client.truth("flies", ["tweety"]) is True
             assert client.count("flies") == 1
 
+    def test_unrendered_extension_never_builds_the_table(self, live_server, monkeypatch):
+        from repro.engine.hql import executor
+
+        calls = []
+        render_rows = executor.render_rows
+
+        def counting(headers, rows):
+            calls.append(headers)
+            return render_rows(headers, rows)
+
+        monkeypatch.setattr(executor, "render_rows", counting)
+        server, host, port = live_server
+        with HQLClient(host=host, port=port) as client:
+            client.execute(SETUP)
+            bare = client.query("EXTENSION flies;", render=False)
+            assert bare.payload == [["tweety"]]
+            assert not bare.message and calls == []
+            rendered = client.query("EXTENSION flies;", render=True)
+            assert "tweety" in rendered.message and calls == [["creature"]]
+
     def test_sessions_are_isolated_executors(self, live_server):
         server, host, port = live_server
         a = make_client(port)
