@@ -3,9 +3,11 @@
 Each ``test_figNN_*`` module reproduces one figure of the paper: it
 asserts the figure's qualitative content (who wins, which tuples
 appear, which items conflict) and times the operation that produces it.
-``test_perf_*`` modules realise the introduction's quantitative claims
-on synthetic workloads.  ``python benchmarks/report.py`` prints every
-reproduced figure as text; EXPERIMENTS.md records the outcome.
+``test_perf_*`` modules realise the paper's quantitative claims (P1–P7)
+on synthetic workloads, each against the baseline the paper names.
+``python -m benchmarks.report`` prints every reproduced figure as text;
+EXPERIMENTS.md records the outcome.  System performance is measured by
+``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations

@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
-"""The benchmark suite's one CLI entry point.
+"""Every reproduced paper figure as text — the source for EXPERIMENTS.md.
 
-Run:  python -m benchmarks.report              # list all BENCH_*.json deltas
-      python -m benchmarks.report --figures    # every paper figure as text
-      python -m benchmarks.report --run NAME   # (re)run bench_NAME.py
+Run:  python -m benchmarks.report
 
-The ``--figures`` output is the source for EXPERIMENTS.md.
+Performance numbers come from ``python -m benchmarks.e2e`` (see
+``BENCHMARK.json``), not from here.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
-import json
 import time
-from pathlib import Path
 
 from repro.core import (
     NO_PREEMPTION,
@@ -252,278 +247,9 @@ def figures() -> None:
     perf()
 
 
-def _validate(name: str, payload: object) -> list:
-    """Return the problems with one ``BENCH_*.json`` payload.
-
-    The committed benchmark files gate CI (``python -m benchmarks.report``
-    exits nonzero when any is malformed), so a half-written or
-    hand-mangled file fails the build instead of rendering as ``nan``.
-    """
-    problems: list = []
-    if not isinstance(payload, dict):
-        return ["{}: payload is {}, not an object".format(name, type(payload).__name__)]
-    rows = payload.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("{}: 'rows' must be a non-empty list".format(name))
-        rows = []
-    for i, row in enumerate(rows):
-        where = "{} rows[{}]".format(name, i)
-        if not isinstance(row, dict):
-            problems.append("{}: not an object".format(where))
-            continue
-        if not isinstance(row.get("op"), str) or not row.get("op"):
-            problems.append("{}: 'op' must be a non-empty string".format(where))
-        for key in ("before_ms", "after_ms", "speedup"):
-            value = row.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(
-                    "{}: '{}' must be a number, got {!r}".format(where, key, value)
-                )
-    metrics = payload.get("metrics")
-    if metrics is not None and not isinstance(metrics, dict):
-        problems.append("{}: 'metrics' must be an object when present".format(name))
-    if name.startswith("BENCH_planner"):
-        # The planner rows are only meaningful if the planner actually
-        # planned: a run whose reorder counter never moved timed the
-        # legacy path twice and must fail loudly, not render as 1.0x.
-        if not isinstance(metrics, dict) or not metrics.get("planner.reorders"):
-            problems.append(
-                "{}: metrics must record a nonzero 'planner.reorders'".format(name)
-            )
-    if name.startswith("BENCH_wire"):
-        # The binary format's acceptance bars (docs/SERVER.md): a
-        # payload recording a slower-than-promised codec is a
-        # regression, not a datapoint.
-        bars = {"snapshot_load_50k": 3.0, "wire_transfer_50k": 2.0}
-        seen = {}
-        for row in rows:
-            if isinstance(row, dict):
-                seen[row.get("op")] = row.get("speedup", 0)
-        for op, bar in bars.items():
-            if op not in seen:
-                problems.append("{}: missing the '{}' row".format(name, op))
-            elif not isinstance(seen[op], (int, float)) or seen[op] < bar:
-                problems.append(
-                    "{}: '{}' must record >= {}x, got {!r}".format(
-                        name, op, bar, seen[op]
-                    )
-                )
-        if not isinstance(metrics, dict) or not metrics.get("client_peak_cursor_50k"):
-            problems.append(
-                "{}: metrics must record 'client_peak_cursor_50k'".format(name)
-            )
-    if name.startswith("BENCH_load"):
-        # The open-loop record is meaningless without traffic and a
-        # tail: every row must carry a nonzero request count and a
-        # present, positive p99 (the whole point of the open-loop
-        # methodology is the tail percentile).
-        if not isinstance(metrics, dict) or not metrics.get("requests"):
-            problems.append(
-                "{}: metrics must record a nonzero 'requests'".format(name)
-            )
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                continue
-            where = "{} rows[{}]".format(name, i)
-            if not row.get("tuples"):
-                problems.append(
-                    "{}: must record a nonzero request count in 'tuples'".format(where)
-                )
-            p99 = row.get("p99_ms")
-            if isinstance(p99, bool) or not isinstance(p99, (int, float)) or p99 <= 0:
-                problems.append(
-                    "{}: 'p99_ms' must be a positive number, got {!r}".format(
-                        where, p99
-                    )
-                )
-    if name.startswith("BENCH_replication"):
-        # The read-scaling acceptance bar (ROADMAP P13): four followers
-        # must at least double the leader-alone aggregate read rate,
-        # and the run must have actually shipped journal entries — a
-        # payload recorded against idle followers measures nothing.
-        seen = {}
-        for row in rows:
-            if isinstance(row, dict):
-                seen[row.get("op")] = row.get("speedup", 0)
-        if "read_4_followers" not in seen:
-            problems.append("{}: missing the 'read_4_followers' row".format(name))
-        elif not isinstance(seen["read_4_followers"], (int, float)) or seen[
-            "read_4_followers"
-        ] < 2.0:
-            problems.append(
-                "{}: 'read_4_followers' must record >= 2x, got {!r}".format(
-                    name, seen["read_4_followers"]
-                )
-            )
-        if not isinstance(metrics, dict) or not metrics.get("ship_entries"):
-            problems.append(
-                "{}: metrics must record a nonzero 'ship_entries'".format(name)
-            )
-    return problems
-
-
-def bench_deltas(root: Path) -> int:
-    """One line per row of every committed ``BENCH_*.json``: the full
-    before/after trajectory of the perf PRs, in one place.  Returns a
-    process exit code — nonzero when any payload is malformed."""
-    paths = sorted(root.glob("BENCH_*.json"))
-    if not paths:
-        print("no BENCH_*.json at {}; run e.g. "
-              "`python -m benchmarks.report --run views`".format(root))
-        return 0
-    problems: list = []
-    for path in paths:
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            problems.append("{}: invalid JSON ({})".format(path.name, error))
-            continue
-        bad = _validate(path.name, payload)
-        if bad:
-            problems.extend(bad)
-            continue
-        header(path.name)
-        print("before: {}".format(payload.get("before", "?")))
-        print("after:  {}".format(payload.get("after", "?")))
-        for row in payload["rows"]:
-            print(
-                "  {:22s} tuples={:<6} {:>10.3f}ms -> {:>8.3f}ms  "
-                "{:>8.1f}x".format(
-                    row.get("op", "?"),
-                    row.get("tuples", "?"),
-                    row["before_ms"],
-                    row["after_ms"],
-                    row["speedup"],
-                )
-            )
-        metrics = payload.get("metrics")
-        if metrics:
-            print("metrics recorded during the run:")
-            for metric_name in sorted(metrics):
-                print("  {:40s} {}".format(metric_name, metrics[metric_name]))
-    if problems:
-        print()
-        for problem in problems:
-            print("MALFORMED {}".format(problem))
-        return 1
+def main() -> int:
+    figures()
     return 0
-
-
-def compare(root: Path, old_root: Path, as_json: bool = False) -> int:
-    """Per-row speedup deltas between two checkouts' ``BENCH_*.json``
-    sets: the current ``root`` against an older ``old_root`` (a file is
-    also accepted — its parent directory is compared).  Rows are matched
-    by ``(file, op, tuples)``; rows present on only one side are listed
-    so a renamed op never silently drops out of the comparison.  With
-    ``as_json`` the same comparison is emitted as one machine-readable
-    JSON object (for CI annotations and dashboards) instead of a
-    table."""
-    if old_root.is_file():
-        old_root = old_root.parent
-    exit_code = 0
-    for label, base in (("current", root), ("old", old_root)):
-        if not sorted(base.glob("BENCH_*.json")):
-            print("no BENCH_*.json in the {} root {}".format(label, base))
-            exit_code = 1
-    if exit_code:
-        return exit_code
-
-    def rows_of(base: Path) -> dict:
-        out = {}
-        for path in sorted(base.glob("BENCH_*.json")):
-            try:
-                payload = json.loads(path.read_text())
-            except json.JSONDecodeError:
-                continue
-            if _validate(path.name, payload):
-                continue
-            for row in payload["rows"]:
-                out[(path.name, row["op"], row.get("tuples"))] = row
-        return out
-
-    new_rows, old_rows = rows_of(root), rows_of(old_root)
-    if as_json:
-        report = {"old_root": str(old_root), "rows": [], "dropped": []}
-        for key in sorted(new_rows):
-            bench, op, tuples = key
-            new = new_rows[key]
-            old = old_rows.get(key)
-            entry = {
-                "bench": bench,
-                "op": op,
-                "tuples": tuples,
-                "speedup": new["speedup"],
-                "old_speedup": None if old is None else old["speedup"],
-                "delta": None if old is None else round(
-                    new["speedup"] - old["speedup"], 3
-                ),
-                "new": old is None,
-            }
-            report["rows"].append(entry)
-        for key in sorted(set(old_rows) - set(new_rows)):
-            report["dropped"].append(
-                {"bench": key[0], "op": key[1], "tuples": key[2]}
-            )
-        print(json.dumps(report, indent=1))
-        return 0
-    header("speedup deltas vs {}".format(old_root))
-    for key in sorted(new_rows):
-        bench, op, tuples = key
-        new = new_rows[key]
-        old = old_rows.get(key)
-        if old is None:
-            print("  {:20s} {:22s} tuples={:<8} NEW ({:.1f}x)".format(
-                bench, op, str(tuples), new["speedup"]))
-            continue
-        delta = new["speedup"] - old["speedup"]
-        print(
-            "  {:20s} {:22s} tuples={:<8} {:>7.1f}x -> {:>7.1f}x  "
-            "({:+.1f}x)".format(
-                bench, op, str(tuples), old["speedup"], new["speedup"], delta
-            )
-        )
-    for key in sorted(set(old_rows) - set(new_rows)):
-        print("  {:20s} {:22s} tuples={:<8} DROPPED".format(
-            key[0], key[1], str(key[2])))
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--figures", action="store_true",
-        help="regenerate every paper figure as text (EXPERIMENTS.md source)",
-    )
-    parser.add_argument(
-        "--run", metavar="NAME",
-        help="run benchmarks/bench_NAME.py and rewrite its BENCH_*.json",
-    )
-    parser.add_argument(
-        "--root", metavar="PATH", type=Path,
-        default=Path(__file__).resolve().parent.parent,
-        help="directory holding the BENCH_*.json files (default: repo root)",
-    )
-    parser.add_argument(
-        "--compare", metavar="OLD", type=Path,
-        help="an older checkout's repo root (or one of its BENCH files): "
-             "print per-row speedup deltas against it",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="with --compare: emit the deltas as one JSON object "
-             "instead of a table",
-    )
-    args = parser.parse_args(argv)
-    if args.figures:
-        figures()
-        return 0
-    if args.run:
-        module = importlib.import_module("benchmarks.bench_{}".format(args.run))
-        module.main()
-        return 0
-    if args.compare is not None:
-        return compare(args.root, args.compare, as_json=args.json)
-    return bench_deltas(args.root)
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     connect.add_argument(
         "--wire-format",
         choices=("binary", "json"),
-        help="result encoding to prefer (default: REPRO_WIRE_FORMAT or binary)",
+        help="result encoding to prefer (default: binary)",
     )
 
     tenants = commands.add_parser(

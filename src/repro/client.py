@@ -267,10 +267,10 @@ class HQLClient:
         self.follow_leader = follow_leader
         self._follower_clients: Dict[str, "HQLClient"] = {}
         self._rr = 0
-        #: Preferred response encoding; ``None`` follows the process
-        #: default (``REPRO_WIRE_FORMAT``).  Negotiated down to JSON at
-        #: connect time when the server does not advertise binary.
-        self.preferred_format = wire_format or codec.default_format()
+        #: Preferred response encoding: binary unless ``"json"`` is
+        #: asked for.  Negotiated down to JSON at connect time when
+        #: the server does not advertise binary.
+        self.preferred_format = wire_format or codec.FORMAT_BINARY
         self.wire_format = codec.FORMAT_JSON
         self.hello: Optional[Dict[str, Any]] = None
         self.session_id: Optional[int] = None

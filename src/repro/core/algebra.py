@@ -136,8 +136,6 @@ def pointwise_sweep(
     list: then the item is appended to it and evaluated as false (a
     shard reports conflicts and the coordinator judges them).
     """
-    from repro import planner as _planner
-
     product = schema.product
     stats: Counter = Counter()
     candidates = product.topological_sort(product.meet_closure(seeds, stats))
@@ -171,13 +169,9 @@ def pointwise_sweep(
                     )
                 conflicted.append(candidates[i])
                 truths[i] = False
-    fused = (
-        consolidate
-        and _planner.consolidation_mode(
-            product.needs_elimination_binding(), len(candidates)
-        )
-        == "fused"
-    )
+    # The fused mask sweep is exact only without elimination binding;
+    # non-normal-form products run the literal two-step procedure.
+    fused = consolidate and not product.needs_elimination_binding()
     if fused:
         flags = _redundancy_sweep(schema, candidates, truths)
         emitted = [
@@ -277,8 +271,8 @@ def combine(
     cone-partitioned across worker processes — the result is identical
     either way.  Arbitrary ``fn`` callables always run serially.
 
-    With the planner on, a symmetric ``fn_token`` (``or``/``and``/
-    ``any``/``all``) additionally lets n-ary evaluation be *reordered*
+    A symmetric ``fn_token`` (``or``/``and``/``any``/``all``)
+    additionally lets n-ary evaluation be *reordered*
     by estimated cone coverage and short-circuited per candidate (see
     :func:`repro.planner.plan_combine`); ``andnot`` and anonymous
     callables always evaluate left-to-right.  The result is identical
@@ -324,7 +318,7 @@ def combine(
             shortcircuit = combine_plan.shortcircuit
             sp.annotate(planner_order="reordered" if combine_plan.reordered else "kept")
         est_candidates = None
-        if _trace.enabled() and _planner.enabled():
+        if _trace.enabled():
             # Estimates are only priced out when someone is watching
             # (EXPLAIN ANALYZE, slow-query tracing): the untraced hot
             # path pays nothing for auditability it cannot render.
@@ -578,22 +572,12 @@ def join(
         right=right.name,
         tuples_in=len(left) + len(right),
     ) as sp:
-        from repro import planner as _planner
-
         if left.strategy.name == "off-path":
             left_eval = _bulk.evaluator_for(left)
             right_eval = _bulk.evaluator_for(right)
-            # Zero-copy is *sound* only when both evaluators are
-            # sweep-exact; among the sound modes the planner's priced
-            # comparison picks (with the planner off, the legacy fixed
-            # gate always took zero-copy when available — the cost
-            # model reproduces that choice, auditably).
-            join_mode = _planner.choose_join_mode(
-                len(left),
-                len(right),
-                left_eval.sweep_exact and right_eval.sweep_exact,
-            )
-            if join_mode == "zero_copy":
+            # Zero-copy is sound only when both evaluators are
+            # sweep-exact, and whenever it is sound it is also cheapest.
+            if left_eval.sweep_exact and right_eval.sweep_exact:
                 default_registry().counter("algebra.join.zero_copy").inc()
                 sp.annotate(zero_copy=True)
                 from repro import parallel as _parallel

@@ -32,7 +32,6 @@ arrays are little-endian and byteswapped on big-endian hosts.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import sys
 from array import array
@@ -60,19 +59,6 @@ _U64 = struct.Struct("!Q")
 
 #: Dictionary-id widths by dictionary size: (array typecode, max ids).
 _ID_WIDTHS = (("B", 0xFF), ("H", 0xFFFF), ("I", 0xFFFFFFFF))
-
-
-def default_format() -> str:
-    """The process-wide preferred encoding.
-
-    ``REPRO_WIRE_FORMAT=json`` pins the v1 JSON path for both wire
-    results and snapshots (the CI fallback leg); anything else — and
-    the default — selects binary.
-    """
-    token = os.environ.get("REPRO_WIRE_FORMAT", "").strip().lower()
-    if token in ("json", "v1", "1", "off"):
-        return FORMAT_JSON
-    return FORMAT_BINARY
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.engine.querycache import QueryCache
 from repro.errors import CatalogError
 from repro.hierarchy.graph import Hierarchy
 from repro.obs import MetricsRegistry, SlowQueryLog
-from repro import planner as _planner
 
 
 class HierarchicalDatabase:
@@ -54,11 +53,8 @@ class HierarchicalDatabase:
         #: pressure, payloads cheaper to recompute than to look up are
         #: rejected and hot expensive entries are pinned (the policy
         #: reads this registry's ``hql.statement.ms`` to adapt its
-        #: floor; ``REPRO_PLANNER=0`` / ``SET PLANNER OFF`` restores
-        #: admit-all).
-        self.query_cache = QueryCache(
-            registry=self.metrics, admission=_planner.cache_admission(self.metrics)
-        )
+        #: floor).
+        self.query_cache = QueryCache(registry=self.metrics)
         self.views = ViewRegistry()
         #: Declarative record of every :meth:`define_view` call
         #: (``name -> {"op", "sources", "conditions"}``).  A

@@ -235,10 +235,8 @@ class Set(Statement):
     """SET <option> <value>; — session/process configuration.
 
     ``SET PARALLEL n`` fixes the shard-parallel worker count (0 turns
-    parallel execution off); ``SET PLANNER ON|OFF`` toggles the
-    cost-based planner (OFF restores the legacy fixed gates).  Not a
-    mutating statement: it changes how queries run, never what they
-    answer, so the operation log skips it.
+    parallel execution off).  Not a mutating statement: it changes how
+    queries run, never what they answer, so the operation log skips it.
     """
 
     option: str

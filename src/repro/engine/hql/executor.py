@@ -638,19 +638,18 @@ class HQLExecutor:
             )
             from repro import planner as _planner
 
-            if _planner.enabled():
-                estimated = _planner.estimate_candidates(inputs)
-                actual = len(closure)
-                ratio = estimated / actual if actual else float("inf")
-                flag = " [off by >10x]" if ratio > 10 or ratio < 0.1 else ""
-                lines.append(
-                    "  estimate: ~{} candidate row(s), actual {}{}".format(
-                        estimated, actual, flag
-                    )
+            estimated = _planner.estimate_candidates(inputs)
+            actual = len(closure)
+            ratio = estimated / actual if actual else float("inf")
+            flag = " [off by >10x]" if ratio > 10 or ratio < 0.1 else ""
+            lines.append(
+                "  estimate: ~{} candidate row(s), actual {}{}".format(
+                    estimated, actual, flag
                 )
-                # Feed the miss back so the EWMA correction learns from
-                # EXPLAIN runs exactly like from traced executions.
-                _planner.observe_estimate("pointwise", estimated, actual)
+            )
+            # Feed the miss back so the EWMA correction learns from
+            # EXPLAIN runs exactly like from traced executions.
+            _planner.observe_estimate("pointwise", estimated, actual)
         else:
             lines.append("  meet-closure candidates: over the merged schema")
             if isinstance(inner, ast.BinaryOp) and inner.op == "JOIN":
@@ -753,30 +752,11 @@ class HQLExecutor:
         return plan
 
     def _exec_set(self, stmt: ast.Set) -> Result:
-        """SET PARALLEL n; / SET PLANNER ON|OFF; — execution-only knobs
-        for this process: never logged, never affect answers, so the
-        query cache stays valid across them."""
+        """SET PARALLEL n; — an execution-only knob for this process:
+        never logged, never affects answers, so the query cache stays
+        valid across it."""
         from repro import parallel
 
-        if stmt.option == "PLANNER":
-            from repro import planner
-
-            token = stmt.value.upper()
-            if token in ("ON", "1", "TRUE"):
-                enabled = True
-            elif token in ("OFF", "0", "FALSE"):
-                enabled = False
-            else:
-                raise HQLError(
-                    "SET PLANNER expects ON or OFF, got {!r}".format(stmt.value)
-                )
-            planner.configure(enabled=enabled)
-            message = (
-                "cost-based planner on"
-                if enabled
-                else "cost-based planner off (legacy fixed gates)"
-            )
-            return Result(kind="set", payload=enabled, message=message)
         if stmt.option != "PARALLEL":
             raise HQLError("unknown SET option {!r}".format(stmt.option))
         try:
@@ -809,13 +789,11 @@ class HQLExecutor:
             rows.append(("querycache.hit_rate", "{:.3f}".format(cache.hit_rate)))
         from repro import planner
 
-        planner_state = planner.describe()
-        rows.append(("planner", "on" if planner_state["enabled"] else "off"))
         rows.sort()
         payload = {
             "engine": metrics.snapshot() if metrics is not None else {},
             "core": default_registry().snapshot(),
-            "planner": planner_state,
+            "planner": planner.describe(),
         }
         return Result(
             kind="stats",

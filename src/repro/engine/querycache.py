@@ -26,16 +26,16 @@ copies and served as copies, so a caller mutating a result can never
 corrupt the cache.  The store is LRU-bounded and keeps hit/miss/evict
 counters; EXPLAIN surfaces the per-statement ``cache: hit|miss`` status.
 
-Admission is cost-aware when an ``admission`` policy is attached (the
-database wires in :func:`repro.planner.cache_admission`).  While the
-store has free space every payload is admitted — caching a cheap result
-costs nothing then.  Under eviction pressure the policy earns its keep:
-a payload whose compute cost is below the admission floor is *rejected*
-(counted under ``querycache.rejected``) instead of evicting something,
-and eviction scans pass over *pinned* entries — hot (hit at least once)
-and expensive ones — while any unpinned victim exists.  Cheap-query
-churn therefore stops flushing the entries that are actually worth
-keeping.
+Admission is cost-aware (:class:`repro.planner.CacheAdmission`, reading
+the cache's registry).  While the store has free space every payload
+is admitted — caching a cheap result costs nothing then.  Under
+eviction pressure the policy earns its keep: a payload whose compute
+cost is below the admission floor is *rejected* (counted under
+``querycache.rejected``) instead of evicting something, and eviction
+scans pass over *pinned* entries — hot (hit at least once) and
+expensive ones — while any unpinned victim exists.  Cheap-query churn
+therefore stops flushing the entries that are actually worth keeping.
+A payload put without ``cost_ms`` is always admitted and never pinned.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import MetricsRegistry
+from repro.planner import CacheAdmission
 
 MISS = object()
 """Sentinel distinguishing "no entry" from a cached falsy payload."""
@@ -97,13 +98,8 @@ class QueryCache:
         self,
         maxsize: int = 256,
         registry: Optional[MetricsRegistry] = None,
-        admission=None,
     ) -> None:
         self.maxsize = maxsize
-        #: Optional cost-aware admission/pinning policy (an object with
-        #: ``admit(cost_ms)`` and ``pin(cost_ms, hits)``); ``None``
-        #: keeps the legacy admit-everything, pure-LRU behaviour.
-        self.admission = admission
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         #: key -> [cost_ms, hits] bookkeeping for admission + pinning
         self._meta: Dict[Tuple, list] = {}
@@ -115,6 +111,9 @@ class QueryCache:
         #: section per operation keeps the store coherent.
         self._lock = threading.RLock()
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: Cost-aware admission/pinning policy.  A payload stored without
+        #: ``cost_ms`` is always admitted and never pinned (plain LRU).
+        self.admission = CacheAdmission(self.registry)
         self._hits = self.registry.counter("querycache.hits")
         self._misses = self.registry.counter("querycache.misses")
         self._evictions = self.registry.counter("querycache.evictions")
@@ -180,10 +179,10 @@ class QueryCache:
     ) -> None:
         """Store ``payload``; evicts to make room when full.
 
-        ``cost_ms`` is what computing the payload took; with an
-        ``admission`` policy attached it decides, under eviction
-        pressure only, whether the payload is worth an eviction at all
-        and which resident entries are pinned against being the victim.
+        ``cost_ms`` is what computing the payload took; it decides,
+        under eviction pressure only, whether the payload is worth an
+        eviction at all and which resident entries are pinned against
+        being the victim.
         ``source_names`` feed the invalidation index.
         """
         if self.maxsize <= 0:
@@ -195,11 +194,7 @@ class QueryCache:
                 if cost_ms is not None:
                     self._meta.setdefault(key, [None, 0])[0] = cost_ms
                 return
-            if (
-                self.admission is not None
-                and len(self._entries) >= self.maxsize
-                and not self.admission.admit(cost_ms)
-            ):
+            if len(self._entries) >= self.maxsize and not self.admission.admit(cost_ms):
                 self._rejected.inc()
                 return
             while len(self._entries) >= self.maxsize:
@@ -222,8 +217,6 @@ class QueryCache:
         for key in self._entries:
             if first is None:
                 first = key
-            if self.admission is None:
-                return key
             cost_ms, hits = self._meta.get(key, (None, 0))
             if not self.admission.pin(cost_ms, hits):
                 return key

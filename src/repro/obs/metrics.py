@@ -20,8 +20,8 @@ Two registry scopes coexist:
 instruments *in place* rather than discarding them, so module-level
 cached handles stay live across resets.
 
-Export formats: :meth:`snapshot` (plain dict, JSON-safe — embedded in
-``BENCH_obs.json`` and read by ``benchmarks/report.py``),
+Export formats: :meth:`snapshot` (plain dict, JSON-safe — the
+``STATS;`` payload),
 :meth:`to_prometheus` (text exposition format: dots become
 underscores, everything gains a ``repro_`` prefix), and :meth:`rows`
 (aligned name/value pairs for ``STATS;`` and the REPL).

@@ -15,8 +15,8 @@ Tracing is **off by default** and gated by one module-level flag:
 process-wide :data:`NOOP_SPAN` singleton, whose every method is a
 no-op returning ``self``.  Instrumented hot paths therefore cost one
 function call and one (immediately freed) keyword dict when tracing is
-disabled — the property suite pins "no net allocation" and
-``benchmarks/bench_obs.py`` records the per-call cost.
+disabled — the property suite pins "no net allocation" and the
+benchmark's ``trace.overhead_ratio`` records what enabling it costs.
 
 Enable globally with :func:`enable`/:func:`disable`, or for one region
 with :func:`force` (EXPLAIN ANALYZE uses this: tracing is switched on

@@ -5,8 +5,8 @@ One process-global :class:`ParallelConfig` governs every entry point
 It is seeded from the environment at import time —
 
 * ``REPRO_PARALLEL`` — worker count (``0`` disables the layer);
-* ``REPRO_PARALLEL_MIN_TUPLES`` — the serial-fallback cost gate: below
-  this many stored tuples an operation never pays fork + pickle;
+* ``REPRO_PARALLEL_MIN_TUPLES`` — ``0`` forces dispatch; any positive
+  value leaves the decision to the planner's priced gate;
 * ``REPRO_PARALLEL_FANOUT`` — shards per worker (decomposition degree);
 * ``REPRO_PARALLEL_START`` — multiprocessing start method override
   (``fork`` / ``forkserver`` / ``spawn``);
@@ -34,13 +34,11 @@ class ParallelConfig:
         subprocess, no pickling) — useful for measuring decomposition
         overhead and for deterministic tests.
     min_tuples:
-        Serial-fallback cost gate.  ``0`` force-enables partitioning
-        attempts regardless of size.  When the planner is on
-        (``REPRO_PLANNER``, the default) any positive value delegates
-        the decision to :func:`repro.planner.parallel_gate` — the
-        priced serial-vs-dispatch comparison; with the planner off the
-        legacy behaviour holds: operations over fewer stored tuples
-        than this never attempt to partition.
+        ``0`` forces dispatch regardless of size (``tests/parallel``
+        and the forced-parallel CI leg rely on it).  Any positive value
+        means the same thing: :func:`repro.planner.parallel_gate` — the
+        priced serial-vs-dispatch comparison — decides; the number
+        itself is not a threshold.
     fanout:
         Shards per worker.  Shards are units of *decomposition* —
         a shard's bitset sweeps run over its own cone's width, so k

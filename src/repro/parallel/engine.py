@@ -27,8 +27,8 @@ strictly an accelerator, never a semantic fork.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core import bulk as _bulk
 from repro.core.conflicts import Conflict
@@ -117,30 +117,27 @@ def plan(
     if product.has_preference_edges() or product.needs_elimination_binding():
         return Plan(reason="hierarchy needs per-item binding")
 
-    top = product.top
-    routed: Set[Item] = set()
-    total = 0
-    for spec in input_specs:
-        if spec[0] == "cone":
-            continue
-        relation = spec[1]
-        total += len(relation.asserted)
-        positions = spec[2] if spec[0] == "proj" else None
-        for item in relation.asserted:
-            routed.add(item if positions is None else _pad(item, positions, top))
+    specs = [spec for spec in input_specs if spec[0] != "cone"]
     if cfg.min_tuples > 0:
-        # ``min_tuples=0`` force-enables (tests and benchmarks rely on
-        # it); otherwise the planner's priced serial-vs-dispatch
-        # comparison replaces the fixed constant, which survives only
-        # as the REPRO_PLANNER=0 legacy gate.
+        # ``min_tuples=0`` forces dispatch (tests and the forced-parallel
+        # CI leg); otherwise the planner prices it, before any stored
+        # tuple is routed — a declined operator costs O(inputs).
         from repro import planner as _planner
 
-        if _planner.enabled():
-            worthwhile, why = _planner.parallel_gate(total, len(input_specs))
-            if not worthwhile:
-                return Plan(reason=why)
-        elif total < cfg.min_tuples:
-            return Plan(reason="below threshold")
+        total = sum(len(spec[1].asserted) for spec in specs)
+        worthwhile, why = _planner.parallel_gate(total, len(input_specs))
+        if not worthwhile:
+            return Plan(reason=why)
+
+    top = product.top
+    routed: Set[Item] = set()
+    for spec in specs:
+        relation = spec[1]
+        if spec[0] == "proj":
+            positions = spec[2]
+            routed.update(_pad(item, positions, top) for item in relation.asserted)
+        else:
+            routed.update(relation.asserted)
 
     items = product.topological_sort(routed)
     partition, why = partition_items(

@@ -11,26 +11,21 @@ those choices in one priced model fed by per-relation statistics:
   incrementally from the relations' delta logs;
 * :mod:`repro.planner.cost` — the decisions: symmetric n-ary combine
   ordering (with short-circuit evaluation in the pointwise engine),
-  the parallel dispatch gate, the join zero-copy/materialise and
-  consolidation fused/two-step modes, and query-cache admission —
-  plus the estimated-vs-actual feedback loop EXPLAIN audits;
-* :mod:`repro.planner.config` — the ``REPRO_PLANNER`` switch and the
-  calibration constants (HQL ``SET PLANNER ON|OFF`` lands here).
+  the parallel dispatch gate and query-cache admission — plus the
+  estimated-vs-actual feedback loop EXPLAIN audits;
+* :mod:`repro.planner.config` — the calibration constants.
 
 Everything the planner changes is bit-identity-safe: reordering only
 touches how many truth probes a candidate needs, never the candidate
-set, the truths, or the emission order.  ``REPRO_PLANNER=0`` restores
-the pre-planner fixed gates exactly.
+set, the truths, or the emission order.
 """
 
-from repro.planner.config import PlannerConfig, config, configure, enabled, reset
+from repro.planner.config import PlannerConfig, config, configure, reset
 from repro.planner.cost import (
     SYMMETRIC_TOKENS,
     CacheAdmission,
     CombinePlan,
     cache_admission,
-    choose_join_mode,
-    consolidation_mode,
     describe,
     estimate_candidates,
     observe_estimate,
@@ -44,14 +39,11 @@ __all__ = [
     "PlannerConfig",
     "config",
     "configure",
-    "enabled",
     "reset",
     "SYMMETRIC_TOKENS",
     "CacheAdmission",
     "CombinePlan",
     "cache_admission",
-    "choose_join_mode",
-    "consolidation_mode",
     "describe",
     "estimate_candidates",
     "observe_estimate",

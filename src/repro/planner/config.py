@@ -1,13 +1,11 @@
 """Planner configuration: one process-wide, thread-safe config object.
 
-Mirrors :mod:`repro.parallel.config`: the environment seeds the initial
-state (``REPRO_PLANNER=0`` disables the planner wholesale, restoring
-every pre-planner fixed gate bit-for-bit), ``configure()`` overrides
-fields at runtime (HQL ``SET PLANNER ON|OFF`` lands here), and
-``reset()`` re-reads the environment — test fixtures rely on it.
+``configure()`` overrides calibration fields at runtime and ``reset()``
+restores the defaults — test fixtures rely on it.  There is no off
+switch: the planner is the only implementation of its decisions.
 
-The numeric fields are the *calibration constants* every cost-based
-decision shares (see docs/PLANNER.md for the gate matrix).  They are
+The fields are the *calibration constants* every cost-based decision
+shares (see docs/PLANNER.md for the gate matrix).  They are
 micro-costs of the primitive operations the model prices, expressed in
 microseconds / milliseconds, not tuning thresholds: the thresholds fall
 out of comparing priced alternatives.
@@ -15,24 +13,14 @@ out of comparing priced alternatives.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, replace
-
-from repro.obs import default_registry
-
-_TRUE = ("1", "true", "on", "yes")
-_FALSE = ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Immutable snapshot of the planner's knobs.
+    """Immutable snapshot of the planner's calibration.
 
-    enabled:
-        Master switch.  Off = every decision reverts to the fixed gates
-        that predate the planner (left-to-right evaluation, the
-        ``min_tuples`` parallel constant, admit-all caching).
     min_inputs:
         Smallest n-ary combine worth planning.  Binary operators gain
         nothing from reordering (the short-circuit saves at most one
@@ -54,7 +42,6 @@ class PlannerConfig:
         victim exists.
     """
 
-    enabled: bool = True
     min_inputs: int = 3
     truth_call_us: float = 2.0
     ship_tuple_us: float = 0.5
@@ -64,39 +51,12 @@ class PlannerConfig:
 
 
 _lock = threading.Lock()
-_config: PlannerConfig | None = None
-
-
-def _bool_env(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    return default
-
-
-def _from_env() -> PlannerConfig:
-    return PlannerConfig(enabled=_bool_env("REPRO_PLANNER", True))
-
-
-def _publish(cfg: PlannerConfig) -> None:
-    """Mirror the master switch into the process-global registry so
-    ``STATS;``, the REPL ``.stats`` view and the Prometheus exporter
-    all report the live planner state."""
-    default_registry().gauge("planner.enabled").set(1 if cfg.enabled else 0)
+_config = PlannerConfig()
 
 
 def config() -> PlannerConfig:
-    """The current config (environment-seeded on first use)."""
-    global _config
+    """The current config."""
     with _lock:
-        if _config is None:
-            _config = _from_env()
-            _publish(_config)
         return _config
 
 
@@ -104,20 +64,13 @@ def configure(**overrides) -> PlannerConfig:
     """Override fields at runtime; returns the new snapshot."""
     global _config
     with _lock:
-        base = _config if _config is not None else _from_env()
-        _config = replace(base, **overrides)
-        _publish(_config)
+        _config = replace(_config, **overrides)
         return _config
 
 
 def reset() -> PlannerConfig:
-    """Re-read the environment (test fixtures call this)."""
+    """Back to the defaults (test fixtures call this)."""
     global _config
     with _lock:
-        _config = _from_env()
-        _publish(_config)
+        _config = PlannerConfig()
         return _config
-
-
-def enabled() -> bool:
-    return config().enabled

@@ -1,4 +1,4 @@
-"""The cost model: one set of priced decisions for every former gate.
+"""The cost model: one set of priced decisions.
 
 Every decision below compares alternatives priced in the calibration
 constants of :class:`~repro.planner.config.PlannerConfig` — no decision
@@ -14,15 +14,10 @@ carries its own magic threshold.  The decisions:
   of truth probes per candidate changes — which is what makes the
   reorder bit-identity-safe under every preemption strategy.
   ``andnot`` is not symmetric and is never reordered.
-* **parallel gate** (:func:`parallel_gate`) — replaces the fixed
-  ``REPRO_PARALLEL_MIN_TUPLES`` constant: dispatch to worker shards iff
-  the priced serial evaluation exceeds the priced dispatch + shipping
-  overhead.  ``min_tuples=0`` still force-enables (tests rely on it).
-* **join mode** (:func:`choose_join_mode`) — zero-copy projection
-  adaptors vs materialised cylindric extensions, priced per candidate
-  probe + per padded tuple.
-* **consolidation mode** (:func:`consolidation_mode`) — fused emission
-  sweep vs build-then-consolidate, priced per candidate.
+* **parallel gate** (:func:`parallel_gate`) — dispatch to worker
+  shards iff the priced serial evaluation exceeds the priced dispatch +
+  shipping overhead.  ``min_tuples=0`` bypasses the gate (tests rely on
+  it).
 * **cache admission** (:class:`CacheAdmission`) — under eviction
   pressure, reject payloads cheaper to recompute than to look up, and
   pin hot expensive entries against eviction.
@@ -41,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import default_registry
 
-from repro.planner.config import config, enabled
+from repro.planner.config import config
 from repro.planner.stats import overlap_estimate, stats_for
 
 #: Symmetric combining-function tokens and the short-circuit kind the
@@ -78,13 +73,10 @@ class CombinePlan:
 
 def plan_combine(relations: Sequence, fn_token: Optional[str]) -> Optional[CombinePlan]:
     """Order ``relations`` for short-circuit evaluation, or ``None``
-    when the combine must run exactly as written (planner off, too few
-    inputs, or an order-sensitive function)."""
-    cfg = config()
-    if not cfg.enabled or fn_token is None:
-        return None
+    when the combine must run exactly as written (too few inputs, or
+    an order-sensitive or anonymous function)."""
     kind = SYMMETRIC_TOKENS.get(fn_token)
-    if kind is None or len(relations) < cfg.min_inputs:
+    if kind is None or len(relations) < config().min_inputs:
         return None
     weights = [stats_for(relation).coverage() for relation in relations]
     # Widest first settles OR fastest; narrowest first settles AND.
@@ -168,50 +160,6 @@ def parallel_gate(total: int, inputs: int) -> Tuple[bool, str]:
     )
 
 
-def choose_join_mode(
-    left_tuples: int, right_tuples: int, zero_copy_available: bool
-) -> str:
-    """``"zero_copy"`` or ``"materialise"``.
-
-    Zero-copy answers each candidate probe through a projection adaptor
-    (a tuple-slice per probe); materialising first *builds* both
-    cylindric extensions (one padded assert per stored tuple — priced
-    like a truth call, plus doubling the evaluator builds) and then
-    probes the same candidates.  The adaptor overhead is a fraction of
-    a probe, so whenever zero-copy is sound it is also cheapest; the
-    comparison is kept explicit so the decision is auditable and the
-    constants stay revisable."""
-    if not zero_copy_available:
-        return "materialise"
-    if not enabled():
-        return "zero_copy"  # the legacy fixed gate picked it too
-    cfg = config()
-    total = left_tuples + right_tuples
-    adaptor_us = total * cfg.truth_call_us * 0.25
-    materialise_us = total * cfg.truth_call_us * 2.0
-    return "zero_copy" if adaptor_us <= materialise_us else "materialise"
-
-
-def consolidation_mode(needs_elimination_binding: bool, candidates: int) -> str:
-    """``"fused"`` or ``"two-step"``.
-
-    Non-normal-form products *must* run the literal two-step procedure
-    (the fused mask sweep is only exact without elimination binding).
-    Otherwise both passes are linear in the candidate count, but the
-    two-step path additionally asserts every pre-consolidation
-    candidate into a throwaway relation — one priced probe each — so
-    the fused sweep wins at every size; the priced comparison keeps the
-    gate in the shared model instead of hard-coding the answer."""
-    if needs_elimination_binding:
-        return "two-step"
-    if not enabled():
-        return "fused"  # the legacy fixed gate
-    cfg = config()
-    fused_us = candidates * cfg.truth_call_us * 0.5
-    two_step_us = candidates * cfg.truth_call_us * 1.5
-    return "fused" if fused_us <= two_step_us else "two-step"
-
-
 # ----------------------------------------------------------------------
 # cache admission
 # ----------------------------------------------------------------------
@@ -224,9 +172,9 @@ class CacheAdmission:
     admission floor adapts to the observed ``hql.statement.ms``
     distribution once enough statements have been timed (a deployment
     whose cheapest statements take 5 ms should not hoard 0.1 ms
-    entries just because the default floor is lower).  Both hooks
-    consult the live config, so ``SET PLANNER OFF`` restores admit-all
-    behaviour immediately.
+    entries just because the default floor is lower).  A payload
+    stored without a measured cost fails open: always admitted, never
+    pinned.
     """
 
     def __init__(self, registry=None) -> None:
@@ -243,14 +191,14 @@ class CacheAdmission:
     def admit(self, cost_ms: Optional[float]) -> bool:
         """Called only under eviction pressure: is this payload worth
         evicting something for?"""
-        if not enabled() or cost_ms is None:
+        if cost_ms is None:
             return True
         return cost_ms >= self._floor_ms()
 
     def pin(self, cost_ms: Optional[float], hits: int) -> bool:
         """Hot (hit at least once) *and* expensive entries survive
         eviction scans while any unpinned victim exists."""
-        if not enabled() or cost_ms is None:
+        if cost_ms is None:
             return False
         return hits >= 1 and cost_ms >= config().cache_pin_cost_ms
 
@@ -273,7 +221,6 @@ def describe() -> Dict[str, object]:
     with _ewma_lock:
         corrections = dict(_ewma)
     return {
-        "enabled": cfg.enabled,
         "min_inputs": cfg.min_inputs,
         "cache_min_cost_ms": cfg.cache_min_cost_ms,
         "cache_pin_cost_ms": cfg.cache_pin_cost_ms,

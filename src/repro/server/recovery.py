@@ -2,8 +2,8 @@
 
 A served database lives in one *data directory*::
 
-    <data_dir>/snapshot.bin    binary columnar snapshot (format v2, default)
-    <data_dir>/snapshot.json   JSON snapshot (format v1 fallback)
+    <data_dir>/snapshot.bin    binary columnar snapshot (format v2)
+    <data_dir>/snapshot.json   JSON snapshot (format v1; read, never written)
     <data_dir>/oplog.hql       HQL journal of statements since the snapshot
 
 Boot (:meth:`RecoveryManager.recover`) loads the latest snapshot, then
@@ -12,14 +12,14 @@ the journal, and once :attr:`snapshot_interval` statements accumulate
 the server takes a *checkpoint* — a fresh snapshot plus a rotated
 (emptied) journal — bounding both recovery time and log growth.
 
-The snapshot format follows :func:`repro.engine.codec.default_format`
-(``REPRO_WIRE_FORMAT=json`` pins v1).  Recovery reads whichever file
-exists; when *both* exist — a directory mid-migration, or a crash
-between writing the new-format file and unlinking the old one — the
-higher checkpoint generation wins, and the usual stamp comparison
-against the journal marker below handles the rest.  The binary format
-additionally persists each relation's posting bitsets, so recovery
-skips the subsumption sweep entirely.
+A checkpoint always writes ``snapshot.bin``.  Recovery reads whichever
+file exists, so a directory written by a v1 server boots and is
+upgraded by its next checkpoint; when *both* exist — a crash between
+writing ``snapshot.bin`` and unlinking the v1 file — the higher
+checkpoint generation wins, and the usual stamp comparison against the
+journal marker below handles the rest.  The binary format additionally
+persists each relation's posting bitsets, so recovery skips the
+subsumption sweep entirely.
 
 Crash-safety of the checkpoint itself
 -------------------------------------
@@ -28,9 +28,9 @@ together, so each snapshot carries a monotonically increasing
 ``checkpoint`` generation and each rotated journal begins with a
 ``-- checkpoint <n>`` marker naming the snapshot it continues:
 
-1. write the snapshot file crash-safely (temp file + fsync +
+1. write ``snapshot.bin`` crash-safely (temp file + fsync +
    ``os.replace``) stamped with generation *n*, and best-effort unlink
-   the other-format snapshot (now stale);
+   a v1 ``snapshot.json`` (now stale);
 2. reset ``oplog.hql`` to just the marker ``-- checkpoint <n>``.
 
 On recovery the two stamps are compared.  Equal (or both absent):
@@ -54,7 +54,6 @@ from repro.engine.storage import (
     read_binary_snapshot,
     read_bytes,
     read_payload,
-    save_database,
     save_database_binary,
 )
 
@@ -81,7 +80,6 @@ class RecoveryManager:
         fsync: bool = False,
         snapshot_interval: int = 500,
         name: str = "server",
-        snapshot_format: Optional[str] = None,
     ) -> None:
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
@@ -90,12 +88,12 @@ class RecoveryManager:
         self.journal = OperationLog(os.path.join(data_dir, OPLOG_FILE), fsync=fsync)
         self.snapshot_interval = snapshot_interval
         self.name = name
-        #: What :meth:`checkpoint` writes; ``None`` resolves to the
-        #: process default at each checkpoint (so the env knob works).
-        self.snapshot_format = snapshot_format
         self.checkpoint_id = 0
         self.checkpoints = 0
         self._journalled_since_checkpoint = 0
+        #: Journalled writes since the last checkpoint *attempt*: a
+        #: failed checkpoint is retried one interval later, not at once.
+        self._journalled_since_attempt = 0
         #: Filled by :meth:`recover` — what the last boot found.
         self.last_recovery: Optional[Dict[str, Any]] = None
 
@@ -160,6 +158,7 @@ class RecoveryManager:
         else:
             info["replayed"] = self.journal.replay(database)
         self._journalled_since_checkpoint = 0
+        self._journalled_since_attempt = 0
         self.last_recovery = info
         return database
 
@@ -171,6 +170,7 @@ class RecoveryManager:
         """Executor ``on_journal`` hook: one committed write landed in
         the journal."""
         self._journalled_since_checkpoint += 1
+        self._journalled_since_attempt += 1
 
     @property
     def journalled_since_checkpoint(self) -> int:
@@ -180,35 +180,37 @@ class RecoveryManager:
     def checkpoint_due(self) -> bool:
         return (
             self.snapshot_interval > 0
-            and self._journalled_since_checkpoint >= self.snapshot_interval
+            and self._journalled_since_attempt >= self.snapshot_interval
         )
 
     def checkpoint(self, database) -> int:
         """Snapshot ``database`` and rotate the journal; returns the new
         generation.  The caller must hold the write lock (the snapshot
-        must not interleave with a commit)."""
-        self.checkpoint_id += 1
-        chosen = self.snapshot_format or codec.default_format()
-        extra = {"checkpoint": self.checkpoint_id}
-        if chosen == codec.FORMAT_JSON:
-            save_database(database, self.snapshot_path, extra=extra)
-            stale = self.snapshot_path_bin
-        else:
-            save_database_binary(database, self.snapshot_path_bin, extra=extra)
-            stale = self.snapshot_path
-        # The other-format file (if any) now carries an older stamp;
-        # drop it before rotating the journal so a crash anywhere in
-        # between still recovers from the freshest snapshot (both-files
-        # recovery picks the higher stamp, and the stale-journal check
-        # handles the unrotated log).
+        must not interleave with a commit).
+
+        A failed snapshot write raises ``StorageError`` and leaves
+        the generation, the previous snapshot and the journal — the
+        durability path — as they were; :attr:`checkpoint_due` turns
+        true again after another ``snapshot_interval`` writes."""
+        stamp = self.checkpoint_id + 1
+        self._journalled_since_attempt = 0
+        save_database_binary(
+            database, self.snapshot_path_bin, extra={"checkpoint": stamp}
+        )
+        self.checkpoint_id = stamp
+        # A v1 snapshot (if any) now carries an older stamp; drop it
+        # before rotating the journal so a crash anywhere in between
+        # still recovers from the freshest snapshot (both-files recovery
+        # picks the higher stamp, and the stale-journal check handles
+        # the unrotated log).
         try:
-            os.unlink(stale)
+            os.unlink(self.snapshot_path)
         except OSError:
             pass
-        self.journal.reset(checkpoint=self.checkpoint_id)
+        self.journal.reset(checkpoint=stamp)
         self._journalled_since_checkpoint = 0
         self.checkpoints += 1
-        return self.checkpoint_id
+        return stamp
 
     def __repr__(self) -> str:
         return "RecoveryManager({!r}, checkpoint={}, pending={})".format(

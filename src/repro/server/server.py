@@ -60,6 +60,7 @@ from repro.errors import (
     ReproError,
     ServerError,
     StaleReplicaError,
+    StorageError,
     TenantError,
     UnknownTenantError,
 )
@@ -175,6 +176,7 @@ class HQLServer:
         self._m_statements = metrics.counter("server.statements")
         self._m_errors = metrics.counter("server.errors")
         self._m_checkpoints = metrics.counter("server.checkpoints")
+        self._m_checkpoint_failures = metrics.counter("server.checkpoint.failures")
         self._m_cursors = metrics.counter("server.cursors_opened")
         self._m_cursor_pages = metrics.counter("server.cursor_pages")
         self._m_repl_followers = metrics.gauge("replication.followers")
@@ -729,7 +731,15 @@ class HQLServer:
                         # the snapshot sees a settled catalog, the
                         # rotation can lose no writes, and every other
                         # tenant keeps serving throughout.
-                        await asyncio.to_thread(recovery.checkpoint, tenant.database)
+                        try:
+                            await asyncio.to_thread(recovery.checkpoint, tenant.database)
+                        except StorageError:
+                            # The statement is executed and journalled:
+                            # it stays acknowledged.  The journal keeps
+                            # growing; the checkpoint is retried after
+                            # another ``snapshot_interval`` writes.
+                            self._m_checkpoint_failures.inc()
+                            return result
                         self._m_checkpoints.inc()
                         if tenant.is_default and self.leader_state is not None:
                             # Mirror the rotation: retire the shipped

@@ -2,13 +2,11 @@
 
 ``animals`` / ``school`` / ``loves`` rebuild the paper's own running
 examples (Figures 1–11); ``generators`` produces synthetic hierarchies
-and relations for the performance experiments; ``loadgen`` is the
-open-loop (arrival-scheduled) load generator for the multi-tenant
-server.
+and relations for the performance experiments.  (The load generator
+that produces numbers is ``benchmarks/e2e/loadgen.py``.)
 """
 
 from repro.workloads import generators
-from repro.workloads import loadgen
 from repro.workloads.animals import flying_dataset, elephant_dataset
 from repro.workloads.loves import loves_dataset
 from repro.workloads.school import school_dataset
@@ -22,5 +20,4 @@ __all__ = [
     "biology_dataset",
     "biology_hierarchy",
     "generators",
-    "loadgen",
 ]

@@ -166,6 +166,29 @@ def test_gate_declines_below_threshold(workload):
     assert same_relation(expect, got)
 
 
+def test_declined_plan_routes_no_tuple(workload, monkeypatch):
+    """The gate is asked before any stored tuple is padded or hashed: a
+    declined operator costs O(inputs), not O(stored tuples)."""
+    from repro.parallel import engine
+
+    _, left, right = workload
+    padded = []
+    real_pad = engine._pad
+
+    def counting_pad(item, positions, top):
+        padded.append(item)
+        return real_pad(item, positions, top)
+
+    monkeypatch.setattr(engine, "_pad", counting_pad)
+    specs = [("proj", left, (0, 1)), ("proj", right, (0, 1))]
+    parallel.configure(workers=2, min_tuples=10_000)
+    assert not parallel.plan(left.schema, specs, fn_token="and").parallel
+    assert padded == []
+    parallel.configure(min_tuples=0)
+    assert parallel.plan(left.schema, specs, fn_token="and").parallel
+    assert len(padded) == len(left) + len(right)
+
+
 def test_gate_declines_capture_and_unknown_fn(workload):
     _, left, right = workload
     parallel.configure(workers=2, min_tuples=0)

@@ -3,7 +3,7 @@ CLI ``--workers`` flag."""
 
 import pytest
 
-from repro import parallel, planner
+from repro import parallel
 from repro.engine.database import HierarchicalDatabase
 from repro.engine.hql import ast
 from repro.engine.hql.executor import HQLExecutor
@@ -66,21 +66,11 @@ def test_explain_reports_parallel_plan(executor):
     message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
     assert "parallel: shards=2 residual=0" in message
 
-    # Positive min_tuples: the planner prices the dispatch (its decline
-    # message names the cost gate); with the planner off the legacy
-    # fixed threshold and its message come back.  Both states are set
-    # explicitly so the test holds under a REPRO_PLANNER=0 run too.
+    # Positive min_tuples: the planner prices the dispatch, and its
+    # decline message names the cost gate.
     parallel.configure(min_tuples=10_000)
-    try:
-        executor.run("SET PLANNER ON;")
-        message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
-        assert "parallel: serial (below cost gate" in message
-
-        executor.run("SET PLANNER OFF;")
-        message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
-        assert "parallel: serial (below threshold)" in message
-    finally:
-        planner.reset()
+    message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
+    assert "parallel: serial (below cost gate" in message
 
     executor.run("SET PARALLEL 0;")
     message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message

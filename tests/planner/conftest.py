@@ -1,10 +1,7 @@
 """Shared fixtures for the planner suite.
 
-Every test runs with the planner *on* regardless of the ambient
-``REPRO_PLANNER`` (CI runs a forced ``REPRO_PLANNER=0`` leg over the
-whole tier-1 suite; these tests exercise the planner itself, so they
-opt back in) and with the observed-actuals feedback cleared, then the
-env-seeded configuration is restored.
+Every test starts from the default calibration with the
+observed-actuals feedback cleared, and leaves it that way.
 """
 
 import pytest
@@ -15,7 +12,6 @@ from repro import planner
 @pytest.fixture(autouse=True)
 def _pristine_planner_config():
     planner.reset()
-    planner.configure(enabled=True)
     planner.reset_feedback()
     yield
     planner.reset()

@@ -56,8 +56,6 @@ def test_plan_combine_declines_when_it_must():
     assert planner.plan_combine([narrow, broad], "or") is None  # binary
     assert planner.plan_combine([narrow, medium, broad], "andnot") is None
     assert planner.plan_combine([narrow, medium, broad], None) is None
-    planner.configure(enabled=False)
-    assert planner.plan_combine([narrow, medium, broad], "or") is None
 
 
 def test_parallel_gate_prices_the_dispatch():
@@ -73,20 +71,6 @@ def test_parallel_gate_crossover_near_legacy_threshold():
     cfg = planner.config()
     crossover = cfg.dispatch_ms * 1e3 / (2 * cfg.truth_call_us - cfg.ship_tuple_us)
     assert 500 <= crossover <= 5000
-
-
-def test_choose_join_mode():
-    assert planner.choose_join_mode(10, 10, False) == "materialise"
-    assert planner.choose_join_mode(10, 10, True) == "zero_copy"
-    planner.configure(enabled=False)
-    assert planner.choose_join_mode(10, 10, True) == "zero_copy"  # legacy gate
-
-
-def test_consolidation_mode():
-    assert planner.consolidation_mode(True, 100) == "two-step"
-    assert planner.consolidation_mode(False, 100) == "fused"
-    planner.configure(enabled=False)
-    assert planner.consolidation_mode(False, 100) == "fused"
 
 
 def test_estimate_feedback_corrects_bias():
@@ -116,9 +100,7 @@ def test_cache_admission_floor_and_pinning():
     assert admission.pin(5.0, hits=1)
     assert not admission.pin(5.0, hits=0)  # never hit: not hot
     assert not admission.pin(0.1, hits=9)  # cheap: not worth pinning
-    planner.configure(enabled=False)
-    assert admission.admit(0.001)  # legacy admit-all
-    assert not admission.pin(5.0, hits=1)
+    assert not admission.pin(None, hits=9)  # unknown cost: never pinned
 
 
 def test_cache_admission_floor_adapts_to_observed_statements():
@@ -135,7 +117,7 @@ def test_cache_admission_floor_adapts_to_observed_statements():
 
 def test_describe_reports_counters():
     state = planner.describe()
-    assert state["enabled"] is True
+    assert "enabled" not in state
     assert set(state) >= {
         "reorders", "combine_plans", "parallel_grants",
         "parallel_declines", "estimate_checks", "corrections",

@@ -1,12 +1,8 @@
-"""Planner integration: HQL SET/STATS/EXPLAIN, the query cache's
-admission policy under pressure, and the environment knob."""
-
-import os
-from unittest import mock
+"""Planner integration: HQL STATS/EXPLAIN and the query cache's
+admission policy under pressure."""
 
 import pytest
 
-from repro import planner
 from repro.engine.database import HierarchicalDatabase
 from repro.engine.hql.executor import HQLExecutor
 from repro.engine.querycache import QueryCache
@@ -33,33 +29,25 @@ def executor():
     ex.close()
 
 
-def test_set_planner_toggles(executor):
-    result = executor.run("SET PLANNER OFF;")[0]
-    assert not planner.enabled()
-    assert "off" in result.message
-    result = executor.run("SET PLANNER ON;")[0]
-    assert planner.enabled()
-    assert "on" in result.message
-    with pytest.raises(HQLError, match="expects ON or OFF"):
-        executor.run("SET PLANNER sideways;")
+def test_set_planner_is_rejected(executor):
+    # The planner is the only implementation of its decisions: there is
+    # no switch, and the statement fails like any unknown option.
+    with pytest.raises(HQLError, match="unknown SET option 'PLANNER'"):
+        executor.run("SET PLANNER OFF;")
+    assert executor.run("TRUTH likes (c0i, c1i);")[0].payload is True
 
 
 def test_stats_reports_planner_state(executor):
     result = executor.run("STATS;")[0]
-    assert "planner" in result.message
-    assert result.payload["planner"]["enabled"] is True
-    executor.run("SET PLANNER OFF;")
-    result = executor.run("STATS;")[0]
-    assert result.payload["planner"]["enabled"] is False
+    state = result.payload["planner"]
+    assert "enabled" not in state
+    assert {"min_inputs", "reorders", "combine_plans", "corrections"} <= set(state)
 
 
 def test_explain_carries_estimate_line(executor):
     message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
     assert "estimate: ~" in message
     assert "actual" in message
-    executor.run("SET PLANNER OFF;")
-    message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
-    assert "estimate:" not in message
 
 
 def test_explain_analyze_compares_estimates(executor):
@@ -76,17 +64,8 @@ def test_explain_analyze_compares_estimates(executor):
     assert "algebra.pointwise: estimated" in message
 
 
-def test_env_knob_disables_planner():
-    with mock.patch.dict(os.environ, {"REPRO_PLANNER": "0"}):
-        planner.reset()
-        assert not planner.enabled()
-    with mock.patch.dict(os.environ, {"REPRO_PLANNER": "1"}):
-        planner.reset()
-        assert planner.enabled()
-
-
 def test_cache_admits_everything_while_not_full():
-    cache = QueryCache(maxsize=8, admission=planner.cache_admission())
+    cache = QueryCache(maxsize=8)
     for i in range(8):
         cache.put(("op", i, ()), i, cost_ms=0.0001)
     assert len(cache) == 8
@@ -94,7 +73,7 @@ def test_cache_admits_everything_while_not_full():
 
 
 def test_cache_rejects_cheap_payloads_under_pressure():
-    cache = QueryCache(maxsize=2, admission=planner.cache_admission())
+    cache = QueryCache(maxsize=2)
     cache.put(("op", 1, ()), 1, cost_ms=5.0)
     cache.put(("op", 2, ()), 2, cost_ms=5.0)
     cache.put(("op", 3, ()), 3, cost_ms=0.0001)  # cheaper than a lookup
@@ -108,7 +87,7 @@ def test_cache_rejects_cheap_payloads_under_pressure():
 def test_cache_eviction_passes_over_pinned_entries():
     from repro.engine.querycache import MISS
 
-    cache = QueryCache(maxsize=2, admission=planner.cache_admission())
+    cache = QueryCache(maxsize=2)
     cache.put(("hot",), "expensive", cost_ms=50.0)
     assert cache.get(("hot",)) == "expensive"  # hit: now hot + expensive
     cache.put(("cold",), "cheap-but-kept", cost_ms=2.0)
@@ -120,7 +99,7 @@ def test_cache_eviction_passes_over_pinned_entries():
 
 
 def test_cache_falls_back_to_lru_when_everything_is_pinned():
-    cache = QueryCache(maxsize=2, admission=planner.cache_admission())
+    cache = QueryCache(maxsize=2)
     for key in ("a", "b"):
         cache.put((key,), key, cost_ms=50.0)
         assert cache.get((key,)) == key
@@ -129,19 +108,21 @@ def test_cache_falls_back_to_lru_when_everything_is_pinned():
     assert cache.evictions == 1
 
 
-def test_planner_off_restores_admit_all():
-    planner.configure(enabled=False)
-    cache = QueryCache(maxsize=2, admission=planner.cache_admission())
-    cache.put(("op", 1, ()), 1, cost_ms=5.0)
-    cache.put(("op", 2, ()), 2, cost_ms=5.0)
-    cache.put(("op", 3, ()), 3, cost_ms=0.0001)
+def test_costless_puts_are_plain_lru():
+    from repro.engine.querycache import MISS
+
+    cache = QueryCache(maxsize=2)
+    cache.put(("op", 1, ()), 1)
+    assert cache.get(("op", 1, ())) == 1  # a hit never pins a costless entry
+    cache.put(("op", 2, ()), 2)
+    cache.put(("op", 3, ()), 3)  # no cost: admitted, evicts the LRU entry
     assert cache.rejected == 0
     assert cache.evictions == 1
+    assert cache.get(("op", 1, ())) is MISS
 
 
 def test_database_wires_admission_into_its_cache():
     db = HierarchicalDatabase("wired")
-    assert db.query_cache.admission is not None
     assert db.query_cache.admission.registry is db.metrics
 
 
@@ -175,5 +156,5 @@ def test_server_stats_payload_includes_planner():
             return 0
 
     payload = stats_payload(_Server())
-    assert payload["planner"]["enabled"] is True
+    assert "reorders" in payload["planner"]
     assert payload["tenants"][0]["name"] == "default"

@@ -7,8 +7,7 @@ properties pin that contract: for arbitrary span names/attributes the
 disabled path records nothing, leaves no context-local state behind,
 and a tight loop of disabled spans leaves ``sys.getallocatedblocks()``
 where it found it (the kwargs dict is freed immediately; nothing is
-retained).  ``benchmarks/bench_obs.py`` complements this with the
-wall-clock cost per disabled call.
+retained).
 """
 
 from __future__ import annotations

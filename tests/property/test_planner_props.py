@@ -12,7 +12,7 @@ incrementally patched stats always equal a from-scratch rebuild.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import parallel, planner
+from repro import parallel
 from repro.core import HRelation, RelationSchema, algebra
 from repro.core.preemption import STRATEGIES
 from repro.parallel.worker import FN_TOKENS
@@ -47,11 +47,18 @@ def combine_inputs(draw, min_inputs=3, max_inputs=5):
     return rels
 
 
-def _combine(rels, token, enabled, consolidate=True):
-    planner.configure(enabled=enabled)
+def _oracle(rels, token, consolidate=True):
+    """Left-to-right, exhaustive, serial: an anonymous callable is never
+    planned, reordered or sharded."""
     return algebra.combine(
-        rels, FN_TOKENS[token], fn_token=token,
-        name="planned" if enabled else "legacy", consolidate=consolidate,
+        rels, FN_TOKENS[token], name="oracle", consolidate=consolidate
+    )
+
+
+def _planned(rels, token, consolidate=True):
+    return algebra.combine(
+        rels, FN_TOKENS[token], fn_token=token, name="planned",
+        consolidate=consolidate,
     )
 
 
@@ -68,12 +75,7 @@ def test_planned_combine_bit_identical_under_every_strategy(
     emits — same items, same signs, same insertion order — under all
     three preemption strategies."""
     under_strategy(strategy_name, *rels)
-    try:
-        want = _combine(rels, token, enabled=False)
-        got = _combine(rels, token, enabled=True)
-    finally:
-        planner.reset()
-    assert same_relation(got, want)
+    assert same_relation(_planned(rels, token), _oracle(rels, token))
 
 
 @given(combine_inputs(), st.sampled_from(SYMMETRIC_TOKENS))
@@ -82,30 +84,24 @@ def test_planned_combine_bit_identical_before_consolidation(rels, token):
     """Identity must hold on the *raw* emission stream too, not just
     after the redundancy sweep has had a chance to paper over a
     divergence."""
-    try:
-        want = _combine(rels, token, enabled=False, consolidate=False)
-        got = _combine(rels, token, enabled=True, consolidate=False)
-    finally:
-        planner.reset()
-    assert same_relation(got, want)
+    assert same_relation(
+        _planned(rels, token, consolidate=False),
+        _oracle(rels, token, consolidate=False),
+    )
 
 
 @given(combine_inputs(max_inputs=4), st.sampled_from(SYMMETRIC_TOKENS))
 @settings(max_examples=6, deadline=None)
 def test_planned_combine_bit_identical_under_forced_parallelism(rels, token):
-    """With two workers and the tuple floor forced to zero the sharded
-    path runs; planner on/off must still agree with each other and with
-    the serial evaluation."""
+    """With two workers and dispatch forced the sharded path runs; it
+    must still agree with the serial left-to-right evaluation."""
+    want = _oracle(rels, token)
+    parallel.configure(workers=2, min_tuples=0)
     try:
-        serial = _combine(rels, token, enabled=True)
-        parallel.configure(workers=2, min_tuples=0)
-        want = _combine(rels, token, enabled=False)
-        got = _combine(rels, token, enabled=True)
+        got = _planned(rels, token)
     finally:
         parallel.reset()
-        planner.reset()
     assert same_relation(got, want)
-    assert same_relation(got, serial)
 
 
 @given(st.data())

@@ -160,13 +160,3 @@ class TestSnapshot:
             codec.decode_snapshot(b"definitely not a snapshot")
         with pytest.raises(StorageError):
             codec.snapshot_envelope(b"{}")
-
-
-class TestDefaultFormat:
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_FORMAT", raising=False)
-        assert codec.default_format() == codec.FORMAT_BINARY
-        monkeypatch.setenv("REPRO_WIRE_FORMAT", "json")
-        assert codec.default_format() == codec.FORMAT_JSON
-        monkeypatch.setenv("REPRO_WIRE_FORMAT", "binary")
-        assert codec.default_format() == codec.FORMAT_BINARY

@@ -70,8 +70,10 @@ class TestCursorObject:
 
 
 class TestWireCursors:
+    wire_format = None  # the client default: binary
+
     def test_execute_returns_first_page_and_token(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             result = client.execute("SELECT * FROM r;", page_size=30)[-1]
             assert result.cursor is not None
             assert result.cursor["total"] == ROWS
@@ -79,7 +81,7 @@ class TestWireCursors:
             assert len(result.payload["tuples"]) == 30
 
     def test_iterator_streams_everything_once(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             cursor = client.cursor("SELECT * FROM r;", page_size=25)
             rows = list(cursor)
             assert cursor.total_rows == ROWS
@@ -88,7 +90,7 @@ class TestWireCursors:
             )
 
     def test_small_results_skip_the_cursor(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             result = client.execute("SELECT * FROM r LIMIT 5;", page_size=30)[-1]
             assert result.cursor is None
             assert len(result.payload["tuples"]) == 5
@@ -97,7 +99,7 @@ class TestWireCursors:
             assert len(list(cursor)) == 5
 
     def test_auto_page_size(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             result = client.execute("SELECT * FROM r;", page_size=-1)[-1]
             # 120 short rows fit one frame comfortably: no paging needed,
             # or a single large page — either way every row arrives.
@@ -105,7 +107,7 @@ class TestWireCursors:
             assert len(rows) == ROWS
 
     def test_fetch_and_close_verbs(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             result = client.execute("SELECT * FROM r;", page_size=50)[-1]
             cursor_id = result.cursor["id"]
             reply = client.fetch(cursor_id, max_rows=20)
@@ -116,7 +118,7 @@ class TestWireCursors:
             assert client.close_cursor(cursor_id) is False
 
     def test_drained_cursor_closes_itself(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             result = client.execute("SELECT * FROM r;", page_size=100)[-1]
             cursor_id = result.cursor["id"]
             reply = client.fetch(cursor_id)
@@ -124,7 +126,7 @@ class TestWireCursors:
             assert client.close_cursor(cursor_id) is False  # already reaped
 
     def test_unknown_cursor_is_a_remote_error(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             with pytest.raises(RemoteError, match="no open cursor"):
                 client.fetch(424242)
 
@@ -138,20 +140,22 @@ class TestWireCursors:
                 assert left == right
 
     def test_stats_count_open_cursors(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             client.execute("SELECT * FROM r;", page_size=10)
             assert client.stats()["server"]["cursors_open"] == 1
 
     def test_disconnect_reaps_cursors(self, server_port):
-        client = HQLClient(port=server_port)
+        client = HQLClient(port=server_port, wire_format=self.wire_format)
         client.connect()
         client.execute("SELECT * FROM r;", page_size=10)
         client.close()
-        with HQLClient(port=server_port) as watcher:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as watcher:
             assert watcher.stats()["server"]["cursors_open"] == 0
 
 
 class TestFrameLimit:
+    wire_format = None  # the client default: binary
+
     @pytest.fixture()
     def tiny_port(self):
         server = HQLServer(port=0, max_frame=8192)
@@ -179,7 +183,7 @@ class TestFrameLimit:
             runner.shutdown()
 
     def test_oversize_response_is_a_typed_error(self, tiny_port):
-        with HQLClient(port=tiny_port) as client:
+        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
             with pytest.raises(RemoteError) as excinfo:
                 client.execute("SELECT * FROM big;")
             message = str(excinfo.value)
@@ -188,21 +192,23 @@ class TestFrameLimit:
             assert "cursor" in message  # the remediation hint
 
     def test_connection_survives_the_oversize_error(self, tiny_port):
-        with HQLClient(port=tiny_port) as client:
+        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
             with pytest.raises(RemoteError):
                 client.execute("SELECT * FROM big;")
             result = client.execute("SELECT * FROM big LIMIT 3;")[-1]
             assert len(result.payload["tuples"]) == 3
 
     def test_cursor_streams_under_the_tiny_frame(self, tiny_port):
-        with HQLClient(port=tiny_port) as client:
+        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
             rows = list(client.cursor("SELECT * FROM big;"))
             assert len(rows) == 400
 
 
 class TestReplStreaming:
+    wire_format = None  # the client default: binary
+
     def test_large_results_stream_row_by_row(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             out = io.StringIO()
             repl = RemoteRepl(client, stdout=out, page_rows=25)
             repl.execute("SELECT * FROM r;")
@@ -211,8 +217,26 @@ class TestReplStreaming:
             assert text.count("-> True") == ROWS
 
     def test_small_results_render_normally(self, server_port):
-        with HQLClient(port=server_port) as client:
+        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
             out = io.StringIO()
             repl = RemoteRepl(client, stdout=out, page_rows=500)
             repl.execute("SELECT * FROM r LIMIT 2;")
             assert "streamed" not in out.getvalue()
+
+
+# ----------------------------------------------------------------------
+# the same behaviour over the v1 JSON wire — what a v1 peer, or a client
+# built with ``wire_format="json"``, speaks.  (Subclasses rather than
+# ``parametrize`` so the binary tests keep their ids.)
+# ----------------------------------------------------------------------
+
+class TestWireCursorsJson(TestWireCursors):
+    wire_format = "json"
+
+
+class TestFrameLimitJson(TestFrameLimit):
+    wire_format = "json"
+
+
+class TestReplStreamingJson(TestReplStreaming):
+    wire_format = "json"

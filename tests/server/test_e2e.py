@@ -198,3 +198,60 @@ def test_shutdown_modes_are_reenterable(tmp_path, drain):
         runner.abort()
     reborn = HQLServer(data_dir=data_dir, port=0)
     assert "h" in reborn.database.hierarchies
+
+
+def test_failed_checkpoint_never_fails_the_write(tmp_path, monkeypatch):
+    """The journal is the durability path; a periodic checkpoint is an
+    optimisation.  With every snapshot write failing, each journalled
+    write is still acknowledged, the failure is counted, the attempt is
+    retried only after another ``snapshot_interval`` writes, and a
+    restart recovers everything from the journal."""
+    import errno
+    import os
+
+    from repro.engine import storage
+    from repro.server.recovery import SNAPSHOT_FILE, SNAPSHOT_FILE_BIN
+
+    def disk_full(path, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    data_dir = str(tmp_path / "data")
+    server = HQLServer(data_dir=data_dir, port=0, snapshot_interval=3)
+    runner = ServerThread(server)
+    _, port = runner.start()
+    try:
+        with HQLClient(port=port) as client:
+            client.execute("CREATE HIERARCHY h; CREATE RELATION r (x: h);")
+            monkeypatch.setattr(storage, "write_bytes_atomic", disk_full)
+            for i in range(7):  # due at the 1st, 4th and 7th of these
+                client.execute("CREATE INSTANCE i{} IN h;".format(i))
+        failures = server.database.metrics.counter("server.checkpoint.failures")
+        assert failures.value == 3
+        assert server.recovery.checkpoint_id == 0  # the on-disk stamp: none
+        assert not os.path.exists(os.path.join(data_dir, SNAPSHOT_FILE_BIN))
+        assert not os.path.exists(os.path.join(data_dir, SNAPSHOT_FILE))
+        assert server.recovery.journalled_since_checkpoint == 9
+        assert not server.recovery.checkpoint_due
+    finally:
+        runner.abort()
+
+    reborn = HQLServer(data_dir=data_dir, port=0, snapshot_interval=3)
+    assert reborn.recovery.last_recovery["snapshot"] is False
+    assert reborn.recovery.last_recovery["replayed"] == 9
+    assert {"i{}".format(i) for i in range(7)} <= set(
+        reborn.database.hierarchies["h"].nodes()
+    )
+
+    # The disk recovers: the next due checkpoint lands.
+    monkeypatch.undo()
+    runner = ServerThread(reborn)
+    _, port = runner.start()
+    try:
+        with HQLClient(port=port) as client:
+            for i in range(7, 10):
+                client.execute("CREATE INSTANCE i{} IN h;".format(i))
+        assert reborn.recovery.checkpoint_id == 1
+        assert reborn.recovery.journalled_since_checkpoint == 0
+        assert os.path.exists(os.path.join(data_dir, SNAPSHOT_FILE_BIN))
+    finally:
+        runner.abort()

@@ -7,18 +7,13 @@ snapshot replace and the journal reset, rolled-back transactions,
 preemption strategies, and materialized views.
 """
 
-import json
 import os
 
 import pytest
 
 from repro.engine import codec
 from repro.engine.hql import HQLExecutor
-from repro.engine.storage import (
-    read_payload,
-    save_database,
-    save_database_binary,
-)
+from repro.engine.storage import save_database, save_database_binary
 from repro.server import RecoveryManager
 from repro.server.recovery import OPLOG_FILE, SNAPSHOT_FILE, SNAPSHOT_FILE_BIN
 
@@ -98,16 +93,8 @@ class TestCheckpoints:
         assert manager.journalled_since_checkpoint == 0
         assert manager.journal.entries() == []  # folded into the snapshot
         assert manager.journal.checkpoint_marker() == 1
-        # The stamp lives in the snapshot of whichever format the
-        # checkpoint wrote (binary by default, REPRO_WIRE_FORMAT=json
-        # in the JSON CI leg).
-        bin_path = tmp_path / SNAPSHOT_FILE_BIN
-        if bin_path.exists():
-            with open(str(bin_path), "rb") as handle:
-                assert codec.snapshot_envelope(handle.read())["checkpoint"] == 1
-        else:
-            with open(str(tmp_path / SNAPSHOT_FILE)) as handle:
-                assert json.load(handle)["checkpoint"] == 1
+        with open(str(tmp_path / SNAPSHOT_FILE_BIN), "rb") as handle:
+            assert codec.snapshot_envelope(handle.read())["checkpoint"] == 1
 
     def test_recovery_from_snapshot_plus_tail(self, tmp_path):
         manager, database, session = boot(tmp_path)
@@ -127,6 +114,33 @@ class TestCheckpoints:
         assert not manager.checkpoint_due
         session.run("CREATE INSTANCE i IN h;")
         assert manager.checkpoint_due
+
+    def test_failed_checkpoint_keeps_the_stamp_and_defers_the_retry(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import storage
+        from repro.errors import StorageError
+
+        manager, database, session = boot(tmp_path, snapshot_interval=3)
+        session.run(SETUP)  # 8 journalled statements: due
+        def disk_full(path, data):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(storage, "write_bytes_atomic", disk_full)
+            with pytest.raises(StorageError):
+                manager.checkpoint(database)
+        assert manager.checkpoint_id == 0
+        assert manager.journal.checkpoint_marker() is None  # journal untouched
+        assert manager.journalled_since_checkpoint == 8
+        assert not manager.checkpoint_due
+        session.run("ASSERT flies (tweety); ASSERT flies (pingo);")
+        assert not manager.checkpoint_due
+        session.run("RETRACT flies (pingo);")
+        assert manager.checkpoint_due  # one full interval after the failure
+        assert manager.checkpoint(database) == 1
+        session.run("RETRACT flies (tweety);")
+        assert not manager.checkpoint_due  # back to the plain interval
 
     def test_interval_zero_never_due(self, tmp_path):
         manager, _, session = boot(tmp_path, snapshot_interval=0)
@@ -193,7 +207,7 @@ class TestCrashOrderings:
 
 
 class TestSnapshotFormats:
-    """The v1 (JSON) ↔ v2 (binary columnar) snapshot migration paths."""
+    """The v1 (JSON) → v2 (binary columnar) snapshot migration paths."""
 
     def test_v1_snapshot_recovers_and_checkpoint_upgrades_to_v2(self, tmp_path):
         # A pre-binary data directory: JSON snapshot written by an old
@@ -201,12 +215,11 @@ class TestSnapshotFormats:
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
         manager.checkpoint(database)
-        # Rewrite it as a plain v1 directory regardless of the default.
-        if os.path.exists(str(tmp_path / SNAPSHOT_FILE_BIN)):
-            os.unlink(str(tmp_path / SNAPSHOT_FILE_BIN))
+        # Rewrite it as a plain v1 directory.
+        os.unlink(str(tmp_path / SNAPSHOT_FILE_BIN))
         save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
 
-        manager2, recovered, session2 = boot(tmp_path, snapshot_format="binary")
+        manager2, recovered, session2 = boot(tmp_path)
         assert manager2.last_recovery["format"] == "json"
         assert recovered.relation("flies").holds("tweety")
         session2.run("ASSERT flies (pingo);")
@@ -218,26 +231,6 @@ class TestSnapshotFormats:
         manager3, reborn, _ = boot(tmp_path)
         assert manager3.last_recovery["format"] == "binary"
         assert reborn.relation("flies").holds("pingo")
-
-    def test_json_format_pin_downgrades_a_binary_directory(self, tmp_path):
-        manager, database, session = boot(tmp_path, snapshot_format="binary")
-        session.run(SETUP)
-        manager.checkpoint(database)
-        assert os.path.exists(str(tmp_path / SNAPSHOT_FILE_BIN))
-
-        manager2, recovered, _ = boot(tmp_path, snapshot_format="json")
-        assert manager2.last_recovery["format"] == "binary"
-        manager2.checkpoint(recovered)
-        assert os.path.exists(str(tmp_path / SNAPSHOT_FILE))
-        assert not os.path.exists(str(tmp_path / SNAPSHOT_FILE_BIN))
-
-    def test_wire_format_env_sets_the_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_FORMAT", "json")
-        manager, database, session = boot(tmp_path)
-        session.run(SETUP)
-        manager.checkpoint(database)
-        assert os.path.exists(str(tmp_path / SNAPSHOT_FILE))
-        assert not os.path.exists(str(tmp_path / SNAPSHOT_FILE_BIN))
 
     def test_both_files_present_higher_stamp_wins(self, tmp_path):
         """Crash after writing the new-format snapshot but before
@@ -263,7 +256,7 @@ class TestSnapshotFormats:
     def test_mid_checkpoint_crash_binary_format(self, tmp_path):
         """Binary flavour of the stale-journal ordering: snapshot.bin
         replaced, crash before the journal reset."""
-        manager, database, session = boot(tmp_path, snapshot_format="binary")
+        manager, database, session = boot(tmp_path)
         session.run(SETUP)
         save_database_binary(
             database, str(tmp_path / SNAPSHOT_FILE_BIN), extra={"checkpoint": 1}
@@ -279,7 +272,7 @@ class TestSnapshotFormats:
         sign-for-sign, and posting-mask-for-posting-mask."""
         from repro.core.bulk import evaluator_for
 
-        manager, database, session = boot(tmp_path, snapshot_format="binary")
+        manager, database, session = boot(tmp_path)
         session.run(SETUP)
         manager.checkpoint(database)
         _, recovered, _ = boot(tmp_path)

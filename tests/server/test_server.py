@@ -40,11 +40,14 @@ def make_client(port, **kw):
 
 
 class TestBasics:
+    wire_format = None  # the client default: binary
+
     def test_hello_and_query(self, live_server):
         server, host, port = live_server
-        with HQLClient(host=host, port=port) as client:
+        with HQLClient(host=host, port=port, wire_format=self.wire_format) as client:
             assert client.hello["database"] == "live"
             assert client.hello["protocol"] == protocol.PROTOCOL_VERSION
+            assert client.wire_format == (self.wire_format or "binary")
             results = client.execute(SETUP)
             assert len(results) == 5
             assert client.truth("flies", ["tweety"]) is True
@@ -62,7 +65,7 @@ class TestBasics:
 
         monkeypatch.setattr(executor, "render_rows", counting)
         server, host, port = live_server
-        with HQLClient(host=host, port=port) as client:
+        with HQLClient(host=host, port=port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             bare = client.query("EXTENSION flies;", render=False)
             assert bare.payload == [["tweety"]]
@@ -72,8 +75,8 @@ class TestBasics:
 
     def test_sessions_are_isolated_executors(self, live_server):
         server, host, port = live_server
-        a = make_client(port)
-        b = make_client(port)
+        a = make_client(port, wire_format=self.wire_format)
+        b = make_client(port, wire_format=self.wire_format)
         try:
             a.execute(SETUP)
             a.execute("BEGIN; ASSERT NOT flies (tweety);")
@@ -89,7 +92,7 @@ class TestBasics:
 
     def test_error_midscript_reports_prior_results(self, live_server):
         server, host, port = live_server
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             with pytest.raises(RemoteError) as excinfo:
                 client.execute("COUNT flies; COUNT nonexistent;")
@@ -124,12 +127,14 @@ class TestBasics:
 
 
 class TestTransactionsOverTheWire:
+    wire_format = None  # the client default: binary
+
     def test_disconnect_rolls_back_open_transaction(self, live_server):
         server, host, port = live_server
-        observer = make_client(port)
+        observer = make_client(port, wire_format=self.wire_format)
         try:
             observer.execute(SETUP)
-            doomed = make_client(port)
+            doomed = make_client(port, wire_format=self.wire_format)
             doomed.execute("BEGIN; ASSERT NOT flies (tweety);")
             doomed.close()  # vanish without COMMIT
             deadline = time.time() + 5
@@ -142,7 +147,7 @@ class TestTransactionsOverTheWire:
 
     def test_txn_flag_tracks_server_state(self, live_server):
         server, host, port = live_server
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             assert not client.in_transaction
             client.execute("BEGIN;")
@@ -152,11 +157,13 @@ class TestTransactionsOverTheWire:
 
 
 class TestConcurrency:
+    wire_format = None  # the client default: binary
+
     def test_read_statements_overlap(self, live_server):
         """Many clients hammering reads must actually hold the shared
         lock together — the lock's high-water mark is the proof."""
         server, host, port = live_server
-        with make_client(port) as setup:
+        with make_client(port, wire_format=self.wire_format) as setup:
             setup.execute(SETUP)
         workers = 4
         barrier = threading.Barrier(workers)
@@ -164,7 +171,7 @@ class TestConcurrency:
 
         def reader():
             try:
-                with make_client(port) as client:
+                with make_client(port, wire_format=self.wire_format) as client:
                     barrier.wait(timeout=10)
                     for _ in range(40):
                         client.truth("flies", ["tweety"])
@@ -181,7 +188,7 @@ class TestConcurrency:
 
     def test_concurrent_writers_all_land(self, live_server):
         server, host, port = live_server
-        with make_client(port) as setup:
+        with make_client(port, wire_format=self.wire_format) as setup:
             setup.execute(
                 "CREATE HIERARCHY h; CREATE RELATION r (x: h);"
             )
@@ -189,7 +196,7 @@ class TestConcurrency:
                 setup.execute("CREATE INSTANCE i{} IN h;".format(i))
 
         def writer(i):
-            with make_client(port) as client:
+            with make_client(port, wire_format=self.wire_format) as client:
                 client.execute("ASSERT r (i{});".format(i))
 
         threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
@@ -197,14 +204,16 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join(30)
-        with make_client(port) as check:
+        with make_client(port, wire_format=self.wire_format) as check:
             assert check.count("r") == 8
 
 
 class TestAdmin:
+    wire_format = None  # the client default: binary
+
     def test_ping_stats_sessions(self, live_server):
         server, host, port = live_server
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             assert client.ping() is True
             stats = client.stats()
             assert stats["database"] == "live"
@@ -215,7 +224,7 @@ class TestAdmin:
 
     def test_metrics_text_is_prometheus(self, live_server):
         server, host, port = live_server
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             text = client.metrics_text()
             assert "server_connections" in text
@@ -223,7 +232,7 @@ class TestAdmin:
 
     def test_unknown_admin_command(self, live_server):
         server, host, port = live_server
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             with pytest.raises(RemoteError):
                 client.admin("self-destruct")
 
@@ -240,11 +249,13 @@ class TestAdmin:
 
 
 class TestShutdown:
+    wire_format = None  # the client default: binary
+
     def test_graceful_shutdown_refuses_new_connections(self):
         server = HQLServer(HierarchicalDatabase("bye"), port=0)
         runner = ServerThread(server)
         host, port = runner.start()
-        with make_client(port) as client:
+        with make_client(port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
         runner.shutdown()
         with pytest.raises(ServerError):
@@ -253,3 +264,25 @@ class TestShutdown:
     def test_database_and_data_dir_are_exclusive(self, tmp_path):
         with pytest.raises(ServerError):
             HQLServer(HierarchicalDatabase("x"), data_dir=str(tmp_path))
+
+
+# ----------------------------------------------------------------------
+# the same behaviour over the v1 JSON wire — what a v1 peer, or a client
+# built with ``wire_format="json"``, speaks.  (Subclasses rather than
+# ``parametrize`` so the binary tests keep their ids.)
+# ----------------------------------------------------------------------
+
+class TestBasicsJson(TestBasics):
+    wire_format = "json"
+
+
+class TestTransactionsOverTheWireJson(TestTransactionsOverTheWire):
+    wire_format = "json"
+
+
+class TestConcurrencyJson(TestConcurrency):
+    wire_format = "json"
+
+
+class TestAdminJson(TestAdmin):
+    wire_format = "json"

@@ -27,6 +27,41 @@ class TestSurface:
                 assert hasattr(module, name), name
 
 
+class TestNoKnobComesBack:
+    def test_environment_switches_and_planner_exports(self):
+        """One gate per decision: the only environment the package reads
+        is the parallel layer's, and the planner has no off switch and
+        no constant-answer gates."""
+        import ast
+        import pathlib
+
+        import repro.planner
+
+        names = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            source = path.read_text()
+            if "environ" not in source and "getenv" not in source:
+                continue
+            # Any REPRO_* literal in a module that touches the
+            # environment (names may reach it through a helper).
+            for node in ast.walk(ast.parse(source)):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("REPRO_")
+                ):
+                    names.add(node.value)
+        assert names == {
+            "REPRO_PARALLEL",
+            "REPRO_PARALLEL_MIN_TUPLES",
+            "REPRO_PARALLEL_FANOUT",
+            "REPRO_PARALLEL_START",
+        }
+        assert not {"enabled", "choose_join_mode", "consolidation_mode"} & set(
+            repro.planner.__all__
+        )
+
+
 class TestQuickstart:
     def test_readme_example(self):
         """The module docstring / README quickstart, executed."""
