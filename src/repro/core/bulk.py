@@ -41,13 +41,37 @@ Strategy coverage mirrors :mod:`repro.core.preemption`:
 
 Evaluators are immutable snapshots keyed on ``(strategy, relation
 version, hierarchy versions)``; :func:`evaluator_for` memoises the
-current one on the relation, so interleaved reads share a single sweep
-and any mutation transparently invalidates it.
+current one on the relation, so interleaved reads share a single sweep.
+
+**A mutation advances the evaluator instead of invalidating it.**  A
+stored tuple is one bit column over its own cone, so when the relation
+has moved on :func:`evaluator_for` replays the relation's delta log
+(:meth:`HRelation.changes_since`) through
+:meth:`BulkEvaluator.advanced`: an asserted tuple sets its bit in the
+sign masks and, per attribute, in the postings of the nodes below its
+value; a retracted one clears the same bits; a sign flip swaps one bit
+between the sign masks and touches no posting.  The result is a *new*
+evaluator sharing every untouched mask with the old one, so a reader
+holding the old snapshot — another session reading the base relation
+while a transaction advances its staged copy — never sees it change.
+
+A retracted tuple's bit slot goes on a free list and the next asserted
+tuple takes it: the widest mask never exceeds the high-water mark of
+stored tuples, however long the relation churns.  Slots therefore stop
+following insertion order (:meth:`BulkEvaluator.in_row_order` tells; a
+checkpoint persists row-ordered postings only).
+
+The full sweep is still what runs when the delta cannot say what
+changed: the first read of a relation, a hierarchy edit (every cone may
+have moved), ``clear()`` / ``load_tuples`` (history wiped), a cursor the
+delta log has trimmed past, a different strategy, or a schema with
+preference edges (those evaluators delegate per item and carry no
+postings to advance).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.core import binding as _binding
@@ -70,9 +94,18 @@ class BulkEvaluator:
     Build once (O(hierarchy + stored tuples) bitset work), then call
     :meth:`truth` / :meth:`truth_and_binders` any number of times.  The
     snapshot is only valid for the ``(relation, hierarchy)`` versions it
-    was built against; use :func:`evaluator_for` to get a cached,
-    auto-refreshed instance.
+    was built against; use :func:`evaluator_for` to get a cached
+    instance that is advanced (:meth:`advanced`) as the relation moves.
     """
+
+    # Slots, so that a snapshot can be copied attribute by attribute:
+    # ``copy.copy`` of a plain instance goes through ``__dict__`` and
+    # CPython then serves every attribute read of the copy from the slow
+    # path — measured at +30 % on ``truth`` over a whole hierarchy.
+    __slots__ = (
+        "relation", "strategy", "key", "_product", "_asserted", "_items", "_free", "_slots",
+        "_pos", "_neg", "_delegate_all", "_minimal_exact", "_postings", "_above",
+    )
 
     def __init__(self, relation, strategy=None, *, postings=None) -> None:
         chosen = strategy if strategy is not None else relation.strategy
@@ -82,7 +115,11 @@ class BulkEvaluator:
         product = schema.product
         self._product = product
         self._asserted: Dict[Item, bool] = dict(relation.asserted)
-        self._items: List[Item] = list(self._asserted)
+        #: Bit slot -> stored item; ``None`` marks a slot on the free list.
+        self._items: List[Optional[Item]] = list(self._asserted)
+        self._free: List[int] = []
+        #: Stored item -> bit slot, filled by the first :meth:`advanced`.
+        self._slots: Optional[Dict[Item, int]] = None
         self.key = (chosen.name, relation.version, product.version)
         pos = neg = 0
         for i, item in enumerate(self._items):
@@ -113,6 +150,94 @@ class BulkEvaluator:
         # Strict asserted subsumers per stored tuple, filled lazily:
         # only queries that reach the minimality check pay for them.
         self._above: List[Optional[int]] = [None] * len(self._items)
+
+    # ------------------------------------------------------------------
+    # advancing
+    # ------------------------------------------------------------------
+
+    def rebound(self, relation) -> "BulkEvaluator":
+        """This snapshot attached to ``relation`` — a copy of the
+        relation it was built for, holding the same tuples.  The
+        delegation strata read ``self.relation``, so an evaluator must
+        never be attached to one relation and read another."""
+        out = BulkEvaluator.__new__(BulkEvaluator)
+        for name in BulkEvaluator.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.relation = relation
+        return out
+
+    def advanced(self, relation, changed: Iterable[Item]) -> "BulkEvaluator":
+        """A new evaluator for ``relation``, which continues the history
+        of the relation this one was built for and has since mutated
+        ``changed`` (:meth:`HRelation.changes_since` of this snapshot's
+        version; the hierarchies have not moved).
+
+        Each changed item's stored sign here is compared with
+        ``relation.asserted``: absent → present takes a bit slot (a freed
+        one first) and sets it over the item's cone in each attribute's
+        postings, present → absent clears the same bits and frees the
+        slot, a sign flip swaps the bit between the sign masks.  ``self``
+        is left untouched and keeps answering for the old state.
+        """
+        out = self.rebound(relation)
+        out.key = (self.strategy.name, relation.version, self._product.version)
+        out._asserted = asserted = dict(self._asserted)
+        out._items = items = list(self._items)
+        if self._slots is None:
+            self._slots = {
+                item: slot for slot, item in enumerate(items) if item is not None
+            }
+        out._slots = slots = dict(self._slots)
+        out._free = free = list(self._free)
+        out._postings = postings = [dict(table) for table in self._postings]
+        pos, neg = self._pos, self._neg
+        current = relation.asserted
+        hierarchies = relation.schema.hierarchies
+        # Retractions first, so the slots they free serve this batch's
+        # own asserts and the masks stay within the high-water mark.
+        for item in sorted(dict.fromkeys(changed), key=current.__contains__):
+            old, new = asserted.get(item), current.get(item)
+            if old == new:
+                continue
+            if old is not None:
+                slot = slots[item]
+            elif free:
+                slot = free.pop()
+                items[slot] = item
+            else:
+                slot = len(items)
+                items.append(item)
+            bit = 1 << slot
+            if old is None or new is None:
+                # The tuple's bit column appears or disappears over its
+                # cone (a free slot's bit is clear everywhere).
+                for table, hierarchy, value in zip(postings, hierarchies, item):
+                    for node in hierarchy.downward_closure((value,)):
+                        table[node] = table.get(node, 0) ^ bit
+            pos &= ~bit
+            neg &= ~bit
+            if new is None:
+                del asserted[item], slots[item]
+                items[slot] = None
+                free.append(slot)
+            else:
+                asserted[item] = new
+                slots[item] = slot
+                if new:
+                    pos |= bit
+                else:
+                    neg |= bit
+        out._pos = pos
+        out._neg = neg
+        out._above = [None] * len(items)
+        return out
+
+    def in_row_order(self) -> bool:
+        """True iff bit *i* is row *i* of ``relation.asserted`` — what a
+        fresh build gives and a persisted posting table must have.
+        Advancing breaks it as soon as a slot is reused or a tuple is
+        re-asserted (its row moves to the end, its slot stays)."""
+        return self._items == list(self.relation.asserted)
 
     # ------------------------------------------------------------------
     # masks
@@ -219,9 +344,11 @@ class BulkEvaluator:
         """Truth values for many (schema-checked) items at once."""
         return [self.truth(item) for item in items]
 
-    def mixed_sign_items(self) -> List[Item]:
+    def mixed_sign_items(self, below: Optional[Iterable[Item]] = None) -> List[Item]:
         """Every domain item with tuples of *both* signs applicable, in
-        a linear extension of the subsumption order.
+        a linear extension of the subsumption order — restricted to the
+        cones of ``below`` when given (the cost then follows those
+        cones, not the hierarchy).
 
         Any conflicted item's strongest binders are a sign-mixed subset
         of its applicable set — under every strategy — so this is a
@@ -235,11 +362,13 @@ class BulkEvaluator:
                 "mixed-sign enumeration needs a unary, swept schema"
             )
         pos, neg = self._pos, self._neg
-        out = [
-            (node,)
-            for node, mask in self._postings[0].items()
-            if mask & pos and mask & neg
-        ]
+        table = self._postings[0]
+        if below is None:
+            entries: Iterable[Tuple[str, int]] = table.items()
+        else:
+            cone = self._product.factors[0].downward_closure(v for (v,) in below)
+            entries = ((node, table.get(node, 0)) for node in cone)
+        out = [(node,) for node, mask in entries if mask & pos and mask & neg]
         return self._product.topological_sort(out)
 
     def _htuples(self, mask: int, reverse: bool = False) -> List[HTuple]:
@@ -250,7 +379,7 @@ class BulkEvaluator:
 
     def __repr__(self) -> str:
         return "BulkEvaluator({!r}, {} tuples, {})".format(
-            getattr(self.relation, "name", "?"), len(self._items), self.strategy
+            getattr(self.relation, "name", "?"), len(self._asserted), self.strategy
         )
 
 
@@ -452,14 +581,33 @@ def merge_emitted(product, parts: Sequence[Sequence[Tuple[Item, bool]]]) -> List
 
 
 def evaluator_for(relation, strategy=None) -> BulkEvaluator:
-    """The relation's current evaluator, rebuilt only when the relation
-    or a hierarchy it is defined over has changed since the last call."""
+    """The relation's current evaluator: the memoised one while nothing
+    moved, that one advanced by the relation's own delta log after
+    tuple mutations, a full sweep otherwise (first use, a hierarchy
+    edit, wiped or trimmed history, another strategy, preference
+    edges)."""
     chosen = strategy if strategy is not None else relation.strategy
     key = (chosen.name, relation.version, relation.schema.product.version)
     cached = getattr(relation, "_bulk_eval", None)
-    if cached is not None and cached.key == key:
-        _obs.default_registry().counter("bulk.evaluator.reuses").inc()
-        return cached
+    if cached is not None:
+        if cached.key == key:
+            _obs.default_registry().counter("bulk.evaluator.reuses").inc()
+            return cached
+        if cached.key[0] == key[0] and cached.key[2] == key[2] and not cached._delegate_all:
+            changed = relation.changes_since(cached.key[1])
+            if changed is not None:
+                _obs.default_registry().counter("bulk.evaluator.advances").inc()
+                evaluator = cached.advanced(relation, changed)
+                relation._bulk_eval = evaluator
+                return evaluator
+    return build_evaluator(relation, chosen)
+
+
+def build_evaluator(relation, strategy=None) -> BulkEvaluator:
+    """Sweep ``relation`` from scratch and memoise the result on it —
+    the evaluator is in row order (:meth:`BulkEvaluator.in_row_order`)
+    whatever slots the one it replaces had handed out."""
+    chosen = strategy if strategy is not None else relation.strategy
     _obs.default_registry().counter("bulk.evaluator.builds").inc()
     with _obs.span(
         "bulk.build_evaluator",

@@ -39,13 +39,28 @@ set.  That probe may surface conflicted items *below* a meet candidate
 as well; they are genuine conflicts, so callers relying on "candidates
 ⊆ exhaustive" are unaffected.  Redundant-edge hierarchies keep the
 historical meet probe (whose coverage there is heuristic anyway).
+
+**Checking a write, not a relation.**  Section 3.1 checks integrity at
+*every* update, so the check must cost what the update touched.  A
+tuple asserted, retracted or flipped at *x* changes the applicable set
+of the items below *x* and of nothing else; a candidate outside the
+cone of *x* is a meet of two unchanged tuples, was a candidate before,
+and binds as it did.  So once a relation is known conflict-free —
+:func:`find_conflicts` stamps it whenever it comes back empty —
+:func:`check_write` probes only the candidates inside the cones of the
+touched items and reports exactly what the whole scan would.  The
+stamp carries the hierarchy versions: a class edge added since can put
+a conflict anywhere, and the next check is a whole-relation one.  Only
+unary normal-form schemas are scoped this way (their candidates are
+read off the posting masks over the cones); every other schema keeps
+the whole-relation scan at each commit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core import bulk as _bulk
 from repro.core.htuple import HTuple
@@ -104,24 +119,49 @@ def conflict_candidates(relation) -> List[Item]:
     return product.topological_sort(seen)
 
 
-def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
-    """All conflicts in ``relation``.
+def _state(relation) -> Tuple:
+    return (relation.strategy.name, relation.version, relation.schema.product.version)
 
-    ``exhaustive=True`` scans every item of D* — exponential in arity,
-    intended for tests and tiny universes; the default probes only the
-    meet candidates (complete for off-path preemption, see module doc).
-    """
+
+def _unary_normal_form(relation) -> bool:
+    schema = relation.schema
+    return schema.arity == 1 and not schema.product.needs_elimination_binding()
+
+
+def _probe(relation, evaluator, candidates: Iterable[Item]) -> Tuple[List[Conflict], int]:
+    """The conflicted ``candidates``, in order, and how many distinct
+    items were probed.  An empty answer stamps the relation
+    conflict-free at its current state."""
+    out: List[Conflict] = []
+    seen: Set[Item] = set()
+    for item in candidates:
+        if item in seen:
+            continue
+        seen.add(item)
+        if evaluator.truth(item) is None:
+            _, binders = evaluator.truth_and_binders(item)
+            out.append(Conflict(item=item, binders=tuple(binders)))
+    if not out:
+        relation._consistent_at = _state(relation)
+    return out, len(seen)
+
+
+def _scan(relation, exhaustive: bool = False) -> Tuple[List[Conflict], int]:
+    """:func:`find_conflicts` plus the number of items probed in this
+    process (a sharded scan probes in its workers and counts none)."""
     product = relation.schema.product
     if not exhaustive:
         from repro import parallel as _parallel
 
         sharded = _parallel.maybe_conflicts(relation)
         if sharded is not None:
-            return sharded
+            if not sharded:
+                relation._consistent_at = _state(relation)
+            return sharded, 0
     evaluator = _bulk.evaluator_for(relation)
     if exhaustive:
         candidates: Iterator[Item] | List[Item] = product.all_items()
-    elif relation.schema.arity == 1 and not product.needs_elimination_binding():
+    elif _unary_normal_form(relation):
         # Unary normal-form schemas skip the pairwise meets entirely:
         # the sweep's posting masks name every node with both signs
         # applicable — a complete probe set under every strategy (it
@@ -132,16 +172,42 @@ def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
         candidates = evaluator.mixed_sign_items()
     else:
         candidates = conflict_candidates(relation)
-    out: List[Conflict] = []
-    seen: Set[Item] = set()
-    for item in candidates:
-        if item in seen:
-            continue
-        seen.add(item)
-        if evaluator.truth(item) is None:
-            _, binders = evaluator.truth_and_binders(item)
-            out.append(Conflict(item=item, binders=tuple(binders)))
-    return out
+    return _probe(relation, evaluator, candidates)
+
+
+def find_conflicts(relation, exhaustive: bool = False) -> List[Conflict]:
+    """All conflicts in ``relation``.
+
+    ``exhaustive=True`` scans every item of D* — exponential in arity,
+    intended for tests and tiny universes; the default probes only the
+    meet candidates (complete for off-path preemption, see module doc).
+    """
+    return _scan(relation, exhaustive)[0]
+
+
+def check_write(relation, base) -> Tuple[List[Conflict], str, int]:
+    """:func:`find_conflicts` for ``relation``, a copy of ``base``
+    mutated since — what a commit runs.  Returns ``(conflicts, scope,
+    probed)``: the same conflicts in the same order as the whole scan,
+    whether they came from the touched cones only (``"cone"``) or from
+    the whole relation (``"relation"``), and how many items were probed.
+
+    The cones suffice when ``base`` is stamped conflict-free at the
+    present hierarchy, the delta log still reaches back to it and the
+    schema is unary normal-form: the candidates are then the mixed-sign
+    nodes of the cones, read off the posting masks.  Everything else —
+    an unverified base, a hierarchy edit since the stamp, n-ary schemas,
+    redundant or preference edges — keeps the whole-relation scan.
+    """
+    touched = None
+    if base._consistent_at == _state(base) and _unary_normal_form(relation):
+        touched = relation.changes_since(base.version)
+    if touched is None:
+        conflicts, probed = _scan(relation)
+        return conflicts, "relation", probed
+    evaluator = _bulk.evaluator_for(relation)
+    conflicts, probed = _probe(relation, evaluator, evaluator.mixed_sign_items(below=touched))
+    return conflicts, "cone", probed
 
 
 def is_consistent(relation, exhaustive: bool = False) -> bool:

@@ -69,6 +69,9 @@ class HRelation:
         self._binder_cache: Dict[object, Tuple[HTuple, ...]] = {}
         self._binder_index = None
         self._bulk_eval = None
+        #: ``(strategy, version, hierarchy versions)`` at which a conflict
+        #: check last came back empty (see :mod:`repro.core.conflicts`).
+        self._consistent_at = None
         #: Recent mutations as ``(version, item)`` pairs; ``item`` is the
         #: touched item.  Incremental consumers (materialized views, the
         #: engine query cache) replay it via :meth:`changes_since`.
@@ -157,6 +160,7 @@ class HRelation:
         self._binder_cache = {}
         self._binder_index = None
         self._bulk_eval = None
+        self._consistent_at = None
 
     def retract(self, item: Sequence[str]) -> None:
         """Remove the tuple asserted at ``item``; raises if absent."""
@@ -273,13 +277,19 @@ class HRelation:
         a transaction and later installed in place of the original reads
         as a *continuation* of its history: version stamps stay
         monotonic (query-cache keys cannot collide with the original's)
-        and ``changes_since`` keeps working across the swap.
+        and ``changes_since`` keeps working across the swap.  So do the
+        memoised bulk evaluator (rebound to the copy, which then advances
+        it by its own writes instead of sweeping from cold) and the
+        conflict-free stamp.
         """
         out = HRelation(self.schema, name=name or self.name, strategy=self.strategy)
         out._tuples = dict(self._tuples)
         out._version = self._version
         out._delta_log = list(self._delta_log)
         out._delta_floor = self._delta_floor
+        if self._bulk_eval is not None:
+            out._bulk_eval = self._bulk_eval.rebound(out)
+        out._consistent_at = self._consistent_at
         return out
 
     def same_tuples_as(self, other: "HRelation") -> bool:

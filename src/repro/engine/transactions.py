@@ -11,13 +11,21 @@ the touched relations; :meth:`commit` re-checks every touched relation
 for conflicts and either installs all snapshots atomically or raises
 :class:`~repro.errors.InconsistentRelationError` leaving the database
 untouched.  Reads inside the transaction see the staged state.
+
+The re-check costs what the transaction touched
+(:func:`~repro.core.conflicts.check_write`): when the unary
+normal-form relation a copy was forked from is already known
+conflict-free, only the cones of the items written since are probed; a
+relation nobody has verified yet, one whose hierarchy was edited since,
+or any other schema gets the whole-relation scan.  Either way the
+conflicts reported are the same.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.conflicts import Conflict, find_conflicts, resolution_tuples
+from repro.core.conflicts import Conflict, check_write, find_conflicts, resolution_tuples
 from repro.core.relation import HRelation
 from repro.errors import InconsistentRelationError, TransactionError
 from repro.obs import span as _span
@@ -100,11 +108,8 @@ class Transaction:
 
     def pending_conflicts(self) -> Dict[str, List[Conflict]]:
         """Conflicts in each staged relation, keyed by relation name."""
-        return {
-            name: find_conflicts(relation)
-            for name, relation in self._staged.items()
-            if find_conflicts(relation)
-        }
+        found = {name: find_conflicts(relation) for name, relation in self._staged.items()}
+        return {name: conflicts for name, conflicts in found.items() if conflicts}
 
     def _rebase(self) -> None:
         """Re-fork from the live catalog and replay this transaction's
@@ -143,16 +148,22 @@ class Transaction:
             self._rebase()
             if metrics is not None:
                 metrics.counter("txn.rebases").inc()
-        with _span("txn.commit", staged=len(self._staged)):
+        with _span("txn.commit", staged=len(self._staged)) as commit_span:
             all_conflicts: List[Conflict] = []
+            check, candidates = "cone", 0
             for name, relation in self._staged.items():
-                all_conflicts.extend(find_conflicts(relation))
+                conflicts, scope, probed = check_write(relation, self._bases[name])
+                all_conflicts.extend(conflicts)
+                candidates += probed
+                if scope == "relation":
+                    check = scope
                 checker = getattr(self._database, "checker_for", lambda _n: None)(name)
                 if checker is not None:
                     all_conflicts.extend(
                         Conflict(item=("constraint", failed), binders=())
                         for failed in checker.violations(relation)
                     )
+            commit_span.annotate(check=check, candidates=candidates)
             if all_conflicts:
                 if metrics is not None:
                     metrics.counter("txn.conflicts_rejected").inc()

@@ -40,6 +40,8 @@ from repro.errors import (
 )
 from repro.hierarchy import algorithms
 
+_WORD = (1 << 64) - 1  # one saturated word of a rank bitset
+
 
 class Hierarchy:
     """A rooted DAG of classes with instances at the leaves.
@@ -785,8 +787,25 @@ class Hierarchy:
             )
 
     def _unpack(self, mask: int) -> Set[str]:
-        rank = self._masks()["rank"]
-        return {node for node in self._insertion if mask >> rank[node] & 1}
+        """The nodes of a rank bitset.  Walks the set bits one 64-bit
+        word at a time, so the cost follows the mask's population (a
+        cone), not the hierarchy; a saturated word — the root's mask is
+        nothing else — is one slice of the order list."""
+        order: List[str] = self._masks()["order"]  # type: ignore[assignment]
+        out: Set[str] = set()
+        base = 0
+        while mask:
+            word = mask & _WORD
+            if word == _WORD:
+                out.update(order[base : base + 64])
+            else:
+                while word:
+                    low = word & -word
+                    out.add(order[base + low.bit_length() - 1])
+                    word ^= low
+            mask >>= 64
+            base += 64
+        return out
 
     def _order(self) -> Tuple[List[str], Dict[str, int], Dict[str, int]]:
         """``(order, rank, insertion_rank)`` — the linear slice of the

@@ -133,6 +133,32 @@ def test_evaluator_is_cached_until_a_version_moves(flying):
     assert bulk_truth_of(flies, ("tina",)) is True
 
 
+def test_preference_edge_evaluator_is_rebuilt_not_advanced():
+    """A delegating evaluator carries no postings to advance: a write
+    to a preference-edge relation sweeps again, and still agrees."""
+    h = (
+        HierarchyBuilder("animal")
+        .klass("bird")
+        .klass("penguin", under="bird")
+        .klass("sick_bird", under="bird")
+        .instance("pete", under=["penguin", "sick_bird"])
+        .prefer("penguin", over="sick_bird")
+        .build()
+    )
+    relation = HRelation([("creature", h)], name="flies")
+    relation.assert_all([(("penguin",), False), (("sick_bird",), True)])
+    evaluator_for(relation)
+    registry = bulk._obs.default_registry()
+    builds = registry.counter("bulk.evaluator.builds").value
+    advances = registry.counter("bulk.evaluator.advances").value
+    relation.retract(("sick_bird",))
+    relation.assert_item(("bird",), truth=True)
+    evaluator_for(relation)
+    assert registry.counter("bulk.evaluator.builds").value == builds + 1
+    assert registry.counter("bulk.evaluator.advances").value == advances
+    _assert_matches_binding(relation)
+
+
 def test_scoped_binder_cache_keeps_unrelated_entries(flying):
     flies = flying.flies
     flies.truth_of(("tweety",))

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.errors import InconsistentRelationError, TransactionError
+from repro.core import HRelation, bulk
+from repro.core.conflicts import find_conflicts
 from repro.engine import HierarchicalDatabase
+from repro.engine.hql import HQLExecutor
+from repro.errors import InconsistentRelationError, TransactionError
+from repro.obs import default_registry, trace
 
 
 @pytest.fixture
@@ -167,3 +171,129 @@ class TestConcurrentCommits:
         assert relation.truth_of_stored(("john", "teacher")) is None
         assert relation.truth_of_stored(("john", "bill")) is True
         assert relation.truth_of_stored(("obsequious", "bill")) is True
+
+
+def _cones_db(classes=8, instances=6):
+    """The benchmark's ``cones`` shape, small: disjoint classes asserted
+    positively, one instance of each negatively."""
+    database = HierarchicalDatabase("cones")
+    h = database.create_hierarchy("h")
+    left = database.create_relation("left", [("value", "h")])
+    for c in range(classes):
+        h.add_class("c{}".format(c))
+        for i in range(instances):
+            h.add_instance("c{}i{}".format(c, i), ["c{}".format(c)])
+    for c in range(classes):
+        left.assert_item(("c{}".format(c),))
+        left.assert_item(("c{}i0".format(c),), truth=False)
+    return database
+
+
+def _commit_span(run):
+    with trace.collect("test") as root:
+        run()
+    (commit,) = [s for s in root.walk() if s.name == "txn.commit"]
+    return commit
+
+
+class TestConeScopedCommit:
+    """A commit probes the cones it wrote once the relation it forked
+    from is known conflict-free, and the evaluator is advanced by the
+    write instead of swept again."""
+
+    def test_first_commit_scans_the_relation_then_cones_only(self):
+        db = _cones_db()
+        first = _commit_span(lambda: db.delete("left", ("c1",)))
+        assert first.attrs["check"] == "relation"
+        second = _commit_span(lambda: db.insert("left", ("c1",)))
+        assert second.attrs["check"] == "cone"
+        # c1 itself is an exact hit; only c1i0 has both signs applicable.
+        assert second.attrs["candidates"] == 1
+
+    def test_hierarchy_edit_between_commits_forces_the_whole_check(self):
+        db = _cones_db()
+        db.delete("left", ("c4",))
+        db.insert("left", ("c4",), truth=False)
+        # c4i1 (under the negative c4) becomes a member of the positive
+        # c3 as well: a conflict far from anything the next write touches.
+        db.hierarchy("h").add_edge("c3", "c4i1")
+        with pytest.raises(InconsistentRelationError) as caught:
+            db.delete("left", ("c5",))
+        assert [c.item for c in caught.value.conflicts] == [("c4i1",)]
+        commit = _commit_span(
+            lambda: db.execute("BEGIN; ASSERT left (c4i1); RETRACT left (c5); COMMIT;")
+        )
+        assert commit.attrs["check"] == "relation"
+        assert _commit_span(lambda: db.insert("left", ("c5",))).attrs["check"] == "cone"
+
+    def test_rejected_write_is_the_whole_scans_report(self):
+        db = _cones_db()
+        db.hierarchy("h").add_instance("both", parents=["c1", "c2"])
+        db.delete("left", ("c2",))  # the whole scan: verifies the relation
+        with pytest.raises(InconsistentRelationError) as scoped:
+            db.insert("left", ("c2",), truth=False)
+        assert [c.item for c in scoped.value.conflicts] == [("both",)]
+        staged = db.relation("left").copy()
+        staged.assert_item(("c2",), truth=False)
+        cold = HRelation(staged.schema, name="left")
+        cold.assert_all(staged.asserted.items())
+        assert str(scoped.value) == str(InconsistentRelationError(find_conflicts(cold)))
+
+    def test_staged_advance_leaves_the_base_evaluator_alone(self):
+        db = _cones_db()
+        base = db.relation("left")
+        reader = bulk.evaluator_for(base)  # what a concurrent session holds
+        probes = list(base.schema.product.all_items())
+        before = [reader.truth_and_binders(item) for item in probes]
+        postings = [dict(table) for table in reader._postings]
+        session = HQLExecutor(db)
+        session.run("BEGIN; RETRACT left (c1); ASSERT NOT left (c2i3);")
+        session.run("TRUTH left (c1i2);")  # reads (and advances) the staged copy
+        staged = session._transaction.relation("left")
+        assert bulk.evaluator_for(staged) is not reader
+        assert bulk.evaluator_for(staged).relation is staged
+        assert bulk.evaluator_for(staged).truth(("c1i2",)) is False
+        assert bulk.evaluator_for(base) is reader
+        assert [reader.truth_and_binders(item) for item in probes] == before
+        assert reader._postings == postings
+        session.run("ROLLBACK;")
+        assert db.relation("left") is base
+        assert bulk.evaluator_for(base) is reader
+        assert [reader.truth_and_binders(item) for item in probes] == before
+
+    def test_toggle_writes_never_sweep_again(self):
+        db = _cones_db(classes=16, instances=8)
+        session = HQLExecutor(db)
+        builds = default_registry().counter("bulk.evaluator.builds")
+        advances = default_registry().counter("bulk.evaluator.advances")
+        session.run("RETRACT left (c0); TRUTH left (c0i1);")  # the one sweep
+        swept, advanced = builds.value, advances.value
+        for j in range(1, 201):
+            c = "c{}".format((j // 2) % 16)
+            session.run(
+                "ASSERT left ({});".format(c) if j % 2 else "RETRACT left ({});".format(c)
+            )
+            session.run("TRUTH left ({}i1);".format(c))
+        assert builds.value == swept
+        assert advances.value == advanced + 200
+        fresh = bulk.BulkEvaluator(db.relation("left"))
+        current = bulk.evaluator_for(db.relation("left"))
+        for item in db.relation("left").schema.product.all_items():
+            assert current.truth(item) == fresh.truth(item)
+
+    def test_pending_conflicts_scans_each_relation_once(self, db, monkeypatch):
+        from repro.engine import transactions
+
+        calls = []
+        real = transactions.find_conflicts
+        monkeypatch.setattr(
+            transactions,
+            "find_conflicts",
+            lambda relation: calls.append(relation.name) or real(relation),
+        )
+        txn = db.transaction()
+        txn.assert_item("respects", ("obsequious", "teacher"))
+        txn.assert_item("respects", ("student", "incoherent"), truth=False)
+        assert list(txn.pending_conflicts()) == ["respects"]
+        assert calls == ["respects"]
+        txn.rollback()

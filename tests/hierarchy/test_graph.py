@@ -149,6 +149,25 @@ class TestSubsumption:
             "animal",
         }
 
+    def test_cones_wider_than_one_mask_word(self):
+        """Masks past 64 nodes unpack word by word: a saturated word
+        (the root's), a sparse cone and a cone straddling words must all
+        equal the plain graph walk."""
+        wide = Hierarchy("wide")
+        for c in range(5):
+            wide.add_class("c{}".format(c))
+            for i in range(40):
+                wide.add_instance("c{}i{}".format(c, i), parents=["c{}".format(c)])
+        wide.add_instance("shared", parents=["c1", "c3"])
+        assert len(wide) == 207
+        for node in ("wide", "c0", "c3", "c4i39", "shared"):
+            assert wide.descendants(node) == wide.downward_closure((node,)), node
+        assert wide.ancestors("shared") == {"shared", "c1", "c3", "wide"}
+        assert wide.ancestors("c4i39", include_self=False) == {"c4", "wide"}
+        assert wide.descendants("c2", include_self=False) == {
+            "c2i{}".format(i) for i in range(40)
+        }
+
     def test_cache_invalidation_on_mutation(self, animal):
         assert not animal.subsumes("penguin", "tweety") or True
         assert animal.subsumes("canary", "tweety")

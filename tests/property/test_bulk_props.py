@@ -11,15 +11,21 @@ lists must match tuple for tuple.
 The second half pins the incremental :class:`~repro.core.index.
 BinderIndex` invariant: an index maintained by assert/retract deltas
 answers ``subsumers_of`` exactly like one rebuilt from scratch.
+
+The third pins the same invariant for the evaluator itself: one
+advanced through the relation's delta log answers exactly like one
+swept from scratch, and reuses the bit slots retractions free.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HRelation, NO_PREEMPTION, OFF_PATH, ON_PATH
 from repro.core import binding, bulk
 from repro.core.index import BinderIndex
+from repro.hierarchy import Hierarchy
 from tests.property.strategies import relations
 
 STRATEGIES = [OFF_PATH, ON_PATH, NO_PREEMPTION]
@@ -146,3 +152,77 @@ def test_scoped_cache_invalidation_is_sound(relation):
         assert binding.truth_and_binders(relation, probe) == binding.truth_and_binders(
             cold, probe
         ), probe
+
+
+# ----------------------------------------------------------------------
+# advanced evaluator == rebuilt evaluator
+# ----------------------------------------------------------------------
+
+
+def _assert_same_answers(advanced, fresh, product):
+    for item in product.all_items():
+        assert advanced.truth(item) == fresh.truth(item), item
+        assert advanced.truth_and_binders(item) == fresh.truth_and_binders(item), item
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_advanced_evaluator_equals_rebuilt(data):
+    """Any interleaving of assert / retract / sign flip, with the
+    memoised evaluator read (hence advanced) at arbitrary points, must
+    answer exactly like a from-scratch sweep of the final relation —
+    every strategy, multi-parent DAGs, arity 1-2, conflicted relations
+    included — and never hand out more bit slots than tuples were ever
+    stored at once."""
+    arity = data.draw(st.integers(min_value=1, max_value=2))
+    relation = data.draw(relations(arity=arity, max_tuples=5, consistent=False))
+    strategy = data.draw(st.sampled_from(STRATEGIES))
+    relation.strategy = strategy
+    product = relation.schema.product
+    factors = relation.schema.hierarchies
+    bulk.evaluator_for(relation)  # the snapshot every later read advances
+    builds = bulk._obs.default_registry().counter("bulk.evaluator.builds")
+    swept = builds.value
+    high_water = len(relation)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        item = tuple(data.draw(st.sampled_from(h.nodes())) for h in factors)
+        if item in relation.asserted and data.draw(st.booleans()):
+            relation.retract(item)
+        else:
+            relation.assert_item(item, truth=data.draw(st.booleans()), replace=True)
+        high_water = max(high_water, len(relation))
+        if data.draw(st.booleans()):
+            _assert_same_answers(
+                bulk.evaluator_for(relation), bulk.BulkEvaluator(relation), product
+            )
+    advanced = bulk.evaluator_for(relation)
+    assert builds.value == swept  # advanced every time, never rebuilt
+    _assert_same_answers(advanced, bulk.BulkEvaluator(relation), product)
+    widest = max((m for table in advanced._postings for m in table.values()), default=0)
+    assert widest.bit_length() <= high_water
+
+
+def test_toggling_never_widens_the_masks():
+    """1 000 retract/assert pairs reuse freed bit slots: the widest
+    posting mask stays within the high-water stored-tuple count (an
+    append-only slot per assert would add 1 000 bits to every mask)."""
+    h = Hierarchy("h", root="root")
+    for c in range(4):
+        h.add_class("c{}".format(c))
+        for i in range(4):
+            h.add_instance("c{}i{}".format(c, i), ["c{}".format(c)])
+    relation = HRelation([("a", h)], name="r")
+    for c in range(4):
+        relation.assert_item(("c{}".format(c),))
+        relation.assert_item(("c{}i0".format(c),), truth=False)
+    high_water = len(relation)
+    bulk.evaluator_for(relation)
+    for j in range(1000):
+        item = ("c{}".format(j % 4),)
+        relation.retract(item)
+        bulk.evaluator_for(relation)
+        relation.assert_item(item)
+        advanced = bulk.evaluator_for(relation)
+    widest = max(m for table in advanced._postings for m in table.values())
+    assert widest.bit_length() <= high_water
+    _assert_same_answers(advanced, bulk.BulkEvaluator(relation), relation.schema.product)

@@ -140,6 +140,17 @@ class TestSnapshot:
         assert preloaded is not None
         assert evaluator_for(relation) is preloaded
 
+    def test_loaded_postings_keep_topological_order(self):
+        """Nothing re-sweeps a loaded table at the first write any more,
+        so it must arrive keyed like a swept one (not sorted by name)."""
+        database = sample_database()
+        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
+        relation = recovered.relation("flies")
+        order = relation.schema.hierarchies[0].topological_order()
+        (table,) = relation._bulk_eval._postings
+        assert list(table) == [node for node in order if node in table]
+        assert list(table) != sorted(table)
+
     def test_roundtrip_preserves_views_and_extra(self):
         database = sample_database()
         database.define_view("flyers", "union", ["flies", "flies"])

@@ -255,3 +255,97 @@ def test_failed_checkpoint_never_fails_the_write(tmp_path, monkeypatch):
         assert os.path.exists(os.path.join(data_dir, SNAPSHOT_FILE_BIN))
     finally:
         runner.abort()
+
+
+class TestRecoveryAfterToggles:
+    """Checkpoints written from an *advanced* evaluator: toggling a
+    class-level tuple moves its row to the end of insertion order while
+    its bit slot is reused, so slot-ordered postings on disk would bind
+    every recovered bit to the wrong row."""
+
+    wire_format = None  # the client default: binary
+
+    SETUP = (
+        "CREATE HIERARCHY animal;"
+        "CREATE CLASS bird IN animal;"
+        "CREATE CLASS penguin IN animal UNDER bird;"
+        "CREATE CLASS canary IN animal UNDER bird;"
+        "CREATE INSTANCE tweety IN animal UNDER canary;"
+        "CREATE INSTANCE pingo IN animal UNDER penguin;"
+        "CREATE INSTANCE peter IN animal UNDER penguin;"
+        "CREATE RELATION flies (creature: animal);"
+        "ASSERT flies (bird);"
+        "ASSERT NOT flies (penguin);"
+        "ASSERT flies (peter);"
+    )
+    #: The flat oracle, by construction: who flies while ``bird`` is asserted.
+    FLIERS = {"bird", "canary", "tweety", "peter"}
+    NODES = ("animal", "bird", "penguin", "canary", "tweety", "pingo", "peter")
+
+    def _check_truths(self, port):
+        with HQLClient(port=port, wire_format=self.wire_format) as client:
+            for node in self.NODES:
+                (result,) = client.execute("TRUTH flies ({});".format(node))
+                assert result.payload is (node in self.FLIERS), node
+
+    def test_checkpointed_postings_are_row_ordered(self, tmp_path):
+        from repro.core.bulk import BulkEvaluator
+
+        data_dir = str(tmp_path / "data")
+        server = HQLServer(data_dir=data_dir, port=0, snapshot_interval=5)
+        runner = ServerThread(server)
+        _, port = runner.start()
+        try:
+            with HQLClient(port=port, wire_format=self.wire_format) as client:
+                client.execute(self.SETUP)
+                toggles = 0
+                # Stop right after a checkpoint, with ``bird`` asserted again.
+                while toggles < 12 or server.recovery.journalled_since_checkpoint:
+                    client.execute("RETRACT flies (bird);")
+                    client.execute("TRUTH flies (tweety);")
+                    client.execute("ASSERT flies (bird);")
+                    toggles += 1
+            live = server.database.relation("flies")
+            assert list(live.asserted)[-1] == ("bird",)  # the row moved
+            assert server.recovery.checkpoint_id >= 4
+        finally:
+            runner.abort()
+
+        reborn = HQLServer(data_dir=data_dir, port=0, snapshot_interval=5)
+        assert reborn.recovery.last_recovery["snapshot"] is True
+        assert reborn.recovery.last_recovery["replayed"] == 0
+        flies = reborn.database.relation("flies")
+        recovered = flies._bulk_eval  # prewarmed from the persisted postings
+        fresh = BulkEvaluator(flies)
+        assert recovered.key == fresh.key
+        assert [
+            {node: mask for node, mask in table.items() if mask}
+            for table in recovered._postings
+        ] == [
+            {node: mask for node, mask in table.items() if mask}
+            for table in fresh._postings
+        ]
+        runner = ServerThread(reborn)
+        _, port = runner.start()
+        try:
+            self._check_truths(port)
+            # A journal tail over the recovered evaluator, then another crash.
+            with HQLClient(port=port, wire_format=self.wire_format) as client:
+                client.execute("RETRACT flies (peter);")
+                client.execute("RETRACT flies (bird);")
+                client.execute("ASSERT flies (bird);")
+                client.execute("ASSERT flies (peter);")
+        finally:
+            runner.abort()
+        again = HQLServer(data_dir=data_dir, port=0, snapshot_interval=5)
+        assert again.recovery.last_recovery["replayed"] == 4
+        runner = ServerThread(again)
+        _, port = runner.start()
+        try:
+            self._check_truths(port)
+        finally:
+            runner.abort()
+
+
+class TestRecoveryAfterTogglesJson(TestRecoveryAfterToggles):
+    wire_format = "json"
