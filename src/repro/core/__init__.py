@@ -7,10 +7,10 @@ The public surface re-exported here is what the README documents:
 * :class:`HRelation` — a hierarchical relation (sections 2.1–2.2);
 * preemption strategies ``OFF_PATH`` / ``ON_PATH`` / ``NO_PREEMPTION``
   (appendix);
-* the binding API: :func:`truth_of`, :func:`strongest_binders`,
-  :func:`justify`, :func:`binding_graph`;
-* the batch path: :class:`BulkEvaluator` / :func:`evaluator_for` and
-  the amortised :func:`bulk_truth_of` / :func:`bulk_truths`;
+* the per-item binding reference: :func:`truth_of`,
+  :func:`strongest_binders`, :func:`justify`, :func:`binding_graph`;
+* the engine every relation answers from: :class:`BulkEvaluator` /
+  :func:`evaluator_for`, :func:`bulk_truth_of` / :func:`bulk_truths`;
 * conflict machinery: :func:`find_conflicts`,
   :func:`complete_resolution_set`, :func:`minimal_resolution_set`;
 * the two new operators: :func:`consolidate` and :func:`explicate`
@@ -64,7 +64,6 @@ from repro.core.equivalence import (
 )
 from repro.core.explicate import explicate
 from repro.core.htuple import UNIVERSAL, HTuple, format_item
-from repro.core.index import BinderIndex
 from repro.core.integrity import IntegrityChecker, check_consistent
 from repro.core.preemption import (
     NO_PREEMPTION,
@@ -129,7 +128,6 @@ __all__ = [
     "member",
     "select_where",
     "aggregate",
-    "BinderIndex",
     "MaterializedView",
     "ViewPlan",
     "ViewRegistry",

@@ -35,23 +35,15 @@ from repro.hierarchy.product import Item
 def strongest_binders(
     relation, item: Item, strategy: PreemptionStrategy | None = None
 ) -> List[HTuple]:
-    """The tuples binding strongest to ``item`` (possibly empty)."""
+    """The tuples binding strongest to ``item`` (possibly empty).
+
+    The per-item *reference*: one O(relation) subsumption scan and the
+    strategy's own construction per call, no cache and no postings.
+    :func:`justify` and the property suites compare the engine
+    (:mod:`repro.core.bulk`) against it; nothing else should call it."""
     item = relation.schema.check_item(item)
     chosen = strategy if strategy is not None else relation.strategy
-    cache = getattr(relation, "_binder_cache", None)
-    # Key on the hierarchy versions too: the relation cannot see a
-    # mutation of a shared hierarchy (e.g. a new preference edge).
-    key = (chosen.name, item, relation.schema.product.version)
-    if cache is not None and key in cache:
-        return list(cache[key])
-    supplier = getattr(relation, "subsumers_of", None)
-    relevant = supplier(item) if supplier is not None else None
-    binders = chosen.strongest_binders(
-        relation.schema.product, relation.asserted, item, relevant=relevant
-    )
-    if cache is not None:
-        cache[key] = tuple(binders)
-    return binders
+    return chosen.strongest_binders(relation.schema.product, relation.asserted, item)
 
 
 def truth_and_binders(

@@ -29,15 +29,18 @@ Strategy coverage mirrors :mod:`repro.core.preemption`:
 * **off-path** on normal-form hierarchies (the paper's default) and
   **no preemption** on any hierarchy are answered exactly from the
   sweep.
-* Items whose applicable tuples are unanimous, or whose *minimal*
-  applicable tuples already disagree, are strategy-independent
-  (strongest binders always sit between the two sets), so the sweep
-  also decides them for **on-path** and for off-path over
-  redundant-edge hierarchies; only the remaining stratum falls back to
-  per-item node elimination.
-* Hierarchies with preference edges delegate every query to the
-  per-item path (the binding order diverges from the applicability
-  order there).
+* Items whose applicable tuples are unanimous are strategy-independent
+  (strongest binders are a non-empty subset of them), and so are items
+  whose *minimal* applicable tuples already disagree unless a
+  preference edge can rank one minimal tuple over another; the sweep
+  decides both for **on-path** and for off-path over non-normal-form
+  hierarchies.
+* Only the remaining stratum needs the paper's node elimination, and it
+  gets it directly: the strategy's ``strongest_binders`` runs on the
+  items of the applicability mask, never on a scan of the relation.
+  Preference edges change the binding order, not applicability
+  (:meth:`Hierarchy.downward_union` ignores them), so those schemas
+  carry postings like any other.
 
 Evaluators are immutable snapshots keyed on ``(strategy, relation
 version, hierarchy versions)``; :func:`evaluator_for` memoises the
@@ -64,9 +67,7 @@ checkpoint persists row-ordered postings only).
 The full sweep is still what runs when the delta cannot say what
 changed: the first read of a relation, a hierarchy edit (every cone may
 have moved), ``clear()`` / ``load_tuples`` (history wiped), a cursor the
-delta log has trimmed past, a different strategy, or a schema with
-preference edges (those evaluators delegate per item and carry no
-postings to advance).
+delta log has trimmed past, or a different strategy.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.core import binding as _binding
 from repro.core.htuple import HTuple
 from repro.errors import AmbiguityError
 from repro.hierarchy.product import Item
@@ -86,6 +86,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _verdict(binders: Sequence[HTuple]) -> Optional[bool]:
+    """The truth a binder list decides: ``False`` when nothing binds
+    (the universal negated tuple), ``None`` when the binders disagree."""
+    truths = {b.truth for b in binders}
+    if len(truths) == 1:
+        return truths.pop()
+    return None if truths else False
 
 
 class BulkEvaluator:
@@ -103,8 +112,8 @@ class BulkEvaluator:
     # CPython then serves every attribute read of the copy from the slow
     # path — measured at +30 % on ``truth`` over a whole hierarchy.
     __slots__ = (
-        "relation", "strategy", "key", "_product", "_asserted", "_items", "_free", "_slots",
-        "_pos", "_neg", "_delegate_all", "_minimal_exact", "_postings", "_above",
+        "relation", "strategy", "key", "_product", "_asserted", "_items", "_free",
+        "_pos", "_neg", "_frontier_binds", "_minimal_exact", "_postings", "_above",
     )
 
     def __init__(self, relation, strategy=None, *, postings=None) -> None:
@@ -118,8 +127,6 @@ class BulkEvaluator:
         #: Bit slot -> stored item; ``None`` marks a slot on the free list.
         self._items: List[Optional[Item]] = list(self._asserted)
         self._free: List[int] = []
-        #: Stored item -> bit slot, filled by the first :meth:`advanced`.
-        self._slots: Optional[Dict[Item, int]] = None
         self.key = (chosen.name, relation.version, product.version)
         pos = neg = 0
         for i, item in enumerate(self._items):
@@ -129,24 +136,25 @@ class BulkEvaluator:
                 neg |= 1 << i
         self._pos = pos
         self._neg = neg
-        self._delegate_all = product.has_preference_edges()
+        #: Every minimal applicable tuple is a strongest binder — unless
+        #: a preference edge can rank one of them over another.
+        self._frontier_binds = not product.has_preference_edges()
         self._minimal_exact = (
             chosen.name == "off-path" and not product.needs_elimination_binding()
         )
         self._postings: List[Dict[str, int]] = []
-        if not self._delegate_all:
-            if postings is not None:
-                # Precomputed tables (binary snapshot recovery): trusted
-                # verbatim, so loading skips the subsumption sweep — the
-                # whole point of persisting them.
-                self._postings = [dict(table) for table in postings]
-            else:
-                for position, hierarchy in enumerate(schema.hierarchies):
-                    seed: Dict[str, int] = {}
-                    for i, item in enumerate(self._items):
-                        value = item[position]
-                        seed[value] = seed.get(value, 0) | (1 << i)
-                    self._postings.append(hierarchy.downward_union(seed))
+        if postings is not None:
+            # Precomputed tables (binary snapshot recovery): trusted
+            # verbatim, so loading skips the subsumption sweep — the
+            # whole point of persisting them.
+            self._postings = [dict(table) for table in postings]
+        else:
+            for position, hierarchy in enumerate(schema.hierarchies):
+                seed: Dict[str, int] = {}
+                for i, item in enumerate(self._items):
+                    value = item[position]
+                    seed[value] = seed.get(value, 0) | (1 << i)
+                self._postings.append(hierarchy.downward_union(seed))
         # Strict asserted subsumers per stored tuple, filled lazily:
         # only queries that reach the minimality check pay for them.
         self._above: List[Optional[int]] = [None] * len(self._items)
@@ -157,9 +165,9 @@ class BulkEvaluator:
 
     def rebound(self, relation) -> "BulkEvaluator":
         """This snapshot attached to ``relation`` — a copy of the
-        relation it was built for, holding the same tuples.  The
-        delegation strata read ``self.relation``, so an evaluator must
-        never be attached to one relation and read another."""
+        relation it was built for, holding the same tuples.
+        :meth:`in_row_order` reads ``self.relation``, so an evaluator
+        must never be attached to one relation and read another."""
         out = BulkEvaluator.__new__(BulkEvaluator)
         for name in BulkEvaluator.__slots__:
             setattr(out, name, getattr(self, name))
@@ -183,11 +191,6 @@ class BulkEvaluator:
         out.key = (self.strategy.name, relation.version, self._product.version)
         out._asserted = asserted = dict(self._asserted)
         out._items = items = list(self._items)
-        if self._slots is None:
-            self._slots = {
-                item: slot for slot, item in enumerate(items) if item is not None
-            }
-        out._slots = slots = dict(self._slots)
         out._free = free = list(self._free)
         out._postings = postings = [dict(table) for table in self._postings]
         pos, neg = self._pos, self._neg
@@ -200,7 +203,9 @@ class BulkEvaluator:
             if old == new:
                 continue
             if old is not None:
-                slot = slots[item]
+                # A C-speed scan: cheaper than carrying (and copying, per
+                # snapshot) an item -> slot dict for the writes that need it.
+                slot = items.index(item)
             elif free:
                 slot = free.pop()
                 items[slot] = item
@@ -217,12 +222,11 @@ class BulkEvaluator:
             pos &= ~bit
             neg &= ~bit
             if new is None:
-                del asserted[item], slots[item]
+                del asserted[item]
                 items[slot] = None
                 free.append(slot)
             else:
                 asserted[item] = new
-                slots[item] = slot
                 if new:
                     pos |= bit
                 else:
@@ -246,15 +250,11 @@ class BulkEvaluator:
     @property
     def sweep_exact(self) -> bool:
         """True when *every* query is answered by the sweep itself —
-        no per-item delegation stratum exists.  Holds for off-path over
+        no node-elimination stratum exists.  Holds for off-path over
         normal-form hierarchies (the paper's default) and for
-        no-preemption over any preference-free hierarchy; these are the
-        strategies the zero-copy algebra adaptors may wrap."""
-        if self._delegate_all:
-            return False
-        if self.strategy.name == "none":
-            return True
-        return self._minimal_exact
+        no-preemption over any hierarchy; these are the strategies the
+        zero-copy algebra adaptors may wrap."""
+        return self.strategy.name == "none" or self._minimal_exact
 
     def applicable_mask(self, item: Item) -> int:
         """The bitset of stored tuples whose item subsumes ``item``."""
@@ -283,6 +283,19 @@ class BulkEvaluator:
             rest ^= low
         return applicable & ~dominated
 
+    def subsumers_of(self, item: Item) -> List[Item]:
+        """Every stored item subsuming ``item`` (itself included when
+        stored), unordered — the applicability mask as items."""
+        return [self._items[i] for i in _iter_bits(self.applicable_mask(item))]
+
+    def _eliminated(self, item: Item, applicable: int) -> List[HTuple]:
+        """The strategy-sensitive stratum: the strategy's own node
+        elimination over the applicable tuples the mask names."""
+        relevant = [self._items[i] for i in _iter_bits(applicable)]
+        return self.strategy.strongest_binders(
+            self._product, self._asserted, item, relevant=relevant
+        )
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -294,13 +307,11 @@ class BulkEvaluator:
         Decides as much as possible from the sweep: an exact stored hit,
         an empty or sign-unanimous applicable set, and a sign-mixed
         minimal frontier are strategy-independent; only the genuinely
-        strategy-sensitive leftovers delegate to the per-item path.
+        strategy-sensitive leftovers run node elimination.
         """
         sign = self._asserted.get(item)
         if sign is not None:
             return sign
-        if self._delegate_all:
-            return _binding.truth_and_binders(self.relation, item, self.strategy)[0]
         applicable = self.applicable_mask(item)
         if not applicable:
             return False
@@ -310,24 +321,24 @@ class BulkEvaluator:
             return False
         if self.strategy.name == "none":
             return None
-        minimal = self._minimal_mask(applicable)
-        minimal_pos = minimal & self._pos
-        if minimal_pos and minimal & self._neg:
-            return None
-        if self._minimal_exact:
-            return bool(minimal_pos)
-        return _binding.truth_and_binders(self.relation, item, self.strategy)[0]
+        if self._frontier_binds:
+            minimal = self._minimal_mask(applicable)
+            minimal_pos = minimal & self._pos
+            if minimal_pos and minimal & self._neg:
+                return None
+            if self._minimal_exact:
+                return bool(minimal_pos)
+        return _verdict(self._eliminated(item, applicable))
 
     def truth_and_binders(self, item: Item) -> Tuple[Optional[bool], List[HTuple]]:
         """Like :func:`binding.truth_and_binders`, bit-identical binders
         included.  Strategies whose binder *sets* need node elimination
-        delegate wholesale; consumers that only need truth values should
-        call :meth:`truth` and fetch binders for the rare conflict."""
+        run it for every unstored item here; consumers that only need
+        truth values should call :meth:`truth` and fetch binders for the
+        rare conflict."""
         sign = self._asserted.get(item)
         if sign is not None:
             return sign, [HTuple(item, sign)]
-        if self._delegate_all:
-            return _binding.truth_and_binders(self.relation, item, self.strategy)
         applicable = self.applicable_mask(item)
         if not applicable:
             return False, []
@@ -336,9 +347,8 @@ class BulkEvaluator:
         elif self._minimal_exact:
             binders = self._htuples(self._minimal_mask(applicable))
         else:
-            return _binding.truth_and_binders(self.relation, item, self.strategy)
-        truths = {b.truth for b in binders}
-        return (binders[0].truth if len(truths) == 1 else None), binders
+            binders = self._eliminated(item, applicable)
+        return _verdict(binders), binders
 
     def truths(self, items: Sequence[Item]) -> List[Optional[bool]]:
         """Truth values for many (schema-checked) items at once."""
@@ -354,13 +364,10 @@ class BulkEvaluator:
         of its applicable set — under every strategy — so this is a
         complete conflict-probe set, read straight off the posting
         masks with no meet computations.  Only available for unary
-        schemas (higher arities would need the product enumerated) that
-        were actually swept (no preference edges).
+        schemas (higher arities would need the product enumerated).
         """
-        if self._delegate_all or len(self._postings) != 1:
-            raise ValueError(
-                "mixed-sign enumeration needs a unary, swept schema"
-            )
+        if len(self._postings) != 1:
+            raise ValueError("mixed-sign enumeration needs a unary schema")
         pos, neg = self._pos, self._neg
         table = self._postings[0]
         if below is None:
@@ -394,7 +401,7 @@ class ProjectedEvaluator:
     and compare equal among stored tuples), so the padded relation
     never needs to be materialised.  Only valid when the base
     evaluator's answers are decided entirely by the sweep
-    (:attr:`BulkEvaluator.sweep_exact`); delegation strata would
+    (:attr:`BulkEvaluator.sweep_exact`); node elimination would
     otherwise re-derive bindings against the wrong (unpadded) schema.
     """
 
@@ -584,8 +591,7 @@ def evaluator_for(relation, strategy=None) -> BulkEvaluator:
     """The relation's current evaluator: the memoised one while nothing
     moved, that one advanced by the relation's own delta log after
     tuple mutations, a full sweep otherwise (first use, a hierarchy
-    edit, wiped or trimmed history, another strategy, preference
-    edges)."""
+    edit, wiped or trimmed history, another strategy)."""
     chosen = strategy if strategy is not None else relation.strategy
     key = (chosen.name, relation.version, relation.schema.product.version)
     cached = getattr(relation, "_bulk_eval", None)
@@ -593,7 +599,7 @@ def evaluator_for(relation, strategy=None) -> BulkEvaluator:
         if cached.key == key:
             _obs.default_registry().counter("bulk.evaluator.reuses").inc()
             return cached
-        if cached.key[0] == key[0] and cached.key[2] == key[2] and not cached._delegate_all:
+        if cached.key[0] == key[0] and cached.key[2] == key[2]:
             changed = relation.changes_since(cached.key[1])
             if changed is not None:
                 _obs.default_registry().counter("bulk.evaluator.advances").inc()

@@ -56,8 +56,8 @@ def _relevant(
     """The asserted items strictly applicable to ``item``.
 
     ``supplied`` lets the caller hand over a precomputed subsumer list
-    (e.g. from :class:`~repro.core.index.BinderIndex`) instead of the
-    O(relation) scan.
+    (the items of a :class:`~repro.core.bulk.BulkEvaluator`
+    applicability mask) instead of the O(relation) scan.
     """
     if supplied is not None:
         return [other for other in supplied if other != item]

@@ -15,9 +15,11 @@ no item is below any other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import binding as _binding
+from repro.core import bulk as _bulk
 from repro.core.htuple import HTuple, format_item
 from repro.core.preemption import OFF_PATH, PreemptionStrategy
 from repro.core.schema import RelationSchema
@@ -66,8 +68,8 @@ class HRelation:
         #: doubles as the insertion record, so retraction is O(1).
         self._tuples: Dict[Item, bool] = {}
         self._version = 0
-        self._binder_cache: Dict[object, Tuple[HTuple, ...]] = {}
-        self._binder_index = None
+        #: The one derived binding structure: the memoised, delta-advanced
+        #: :class:`~repro.core.bulk.BulkEvaluator` every truth question reads.
         self._bulk_eval = None
         #: ``(strategy, version, hierarchy versions)`` at which a conflict
         #: check last came back empty (see :mod:`repro.core.conflicts`).
@@ -80,12 +82,6 @@ class HRelation:
         #: (capacity trim or an unscoped wipe); ``changes_since`` answers
         #: ``None`` for cursors that old, forcing a full recompute.
         self._delta_floor = 0
-
-    #: Relations holding at least this many tuples answer subsumer
-    #: lookups from a :class:`~repro.core.index.BinderIndex` instead of
-    #: scanning every stored tuple.  Tune per workload; tests force
-    #: either path by setting it on an instance.
-    index_threshold = 32
 
     #: Delta-log capacity: beyond this many recorded mutations the oldest
     #: entries are dropped and the floor advances, so an idle consumer can
@@ -107,7 +103,6 @@ class HRelation:
         a relation mapping one item to both 0 and 1 is meaningless.
         """
         key = self.schema.check_item(item)
-        delta = 1
         if key in self._tuples:
             if self._tuples[key] == truth:
                 return
@@ -118,9 +113,8 @@ class HRelation:
                         ", ".join(key), self._tuples[key]
                     )
                 )
-            delta = 0  # sign flip: the item set is unchanged
         self._tuples[key] = truth
-        self._bump(key, delta)
+        self._bump(key)
 
     def assert_tuple(self, htuple: HTuple, replace: bool = False) -> None:
         """Add an :class:`HTuple` (see :meth:`assert_item`)."""
@@ -157,8 +151,6 @@ class HRelation:
         self._version = len(self._tuples) if version is None else version
         self._delta_log = []
         self._delta_floor = self._version
-        self._binder_cache = {}
-        self._binder_index = None
         self._bulk_eval = None
         self._consistent_at = None
 
@@ -168,7 +160,7 @@ class HRelation:
         if key not in self._tuples:
             raise TupleError("no tuple asserted at ({})".format(", ".join(key)))
         del self._tuples[key]
-        self._bump(key, -1)
+        self._bump(key)
 
     def discard(self, item: Sequence[str]) -> bool:
         """Remove the tuple at ``item`` if present; returns whether it was."""
@@ -176,28 +168,19 @@ class HRelation:
         if key not in self._tuples:
             return False
         del self._tuples[key]
-        self._bump(key, -1)
+        self._bump(key)
         return True
 
     def clear(self) -> None:
         self._tuples.clear()
         self._bump()
 
-    def _bump(self, changed: Item | None = None, delta: int = 0) -> None:
-        """Advance the version after a mutation.
-
-        ``changed`` is the touched item (``None`` for an unscoped wipe)
-        and ``delta`` the stored-tuple count change (+1 assert, -1
-        retract, 0 sign flip).  Cached binders survive unless the
-        mutated item subsumes theirs — a tuple influences exactly the
-        queries below it — so bulk loads no longer discard every cached
-        binder on each assert; the binder index absorbs the same delta
-        incrementally instead of being rebuilt from scratch.
-        """
+    def _bump(self, changed: Item | None = None) -> None:
+        """Advance the version after a mutation of ``changed`` (``None``
+        for an unscoped wipe) and record it in the delta log — all a
+        write does; the evaluator replays the log at the next read."""
         self._version += 1
         if changed is None:
-            self._binder_cache.clear()
-            self._binder_index = None
             self._delta_log.clear()
             self._delta_floor = self._version
             return
@@ -205,22 +188,6 @@ class HRelation:
         if len(self._delta_log) > self.delta_log_limit:
             trimmed, _ = self._delta_log.pop(0)
             self._delta_floor = trimmed
-        if self._binder_cache:
-            product = self.schema.product
-            doomed = [
-                key
-                for key in self._binder_cache
-                if product.subsumes(changed, key[1])
-            ]
-            for key in doomed:
-                del self._binder_cache[key]
-        index = self._binder_index
-        if index is not None:
-            if delta > 0:
-                index.add(changed)
-            elif delta < 0:
-                index.remove(changed)
-            index.version = self._version
 
     # ------------------------------------------------------------------
     # storage views
@@ -244,7 +211,8 @@ class HRelation:
         """
         if version < self._delta_floor:
             return None
-        return [item for v, item in self._delta_log if v > version]
+        log = self._delta_log  # ascending versions; (v,) sorts before (v, item)
+        return [item for _, item in log[bisect_left(log, (version + 1,)):]]
 
     def tuples(self) -> List[HTuple]:
         """All stored tuples, in insertion order."""
@@ -303,28 +271,21 @@ class HRelation:
 
     def truth_of(self, item: Sequence[str]) -> bool:
         """Truth value of any item (class-level or atomic), by binding."""
-        return _binding.truth_of(self, self.schema.check_item(item))
+        return _bulk.truth_of(self, item)
 
     def holds(self, *values: str) -> bool:
         """Sugar: ``r.holds("tweety")`` == ``r.truth_of(("tweety",))``."""
         return self.truth_of(tuple(values))
 
     def strongest_binders(self, item: Sequence[str]) -> List[HTuple]:
-        return _binding.strongest_binders(self, self.schema.check_item(item))
+        key = self.schema.check_item(item)
+        return _bulk.evaluator_for(self).truth_and_binders(key)[1]
 
     def subsumers_of(self, item: Sequence[str]) -> List[Item]:
         """Every asserted item subsuming ``item`` (itself included when
-        asserted) — the applicability set binding starts from.  Served
-        by the binder index above :attr:`index_threshold` tuples."""
-        key = self.schema.check_item(item)
-        if len(self._tuples) >= self.index_threshold:
-            from repro.core.index import BinderIndex
-
-            if self._binder_index is None or self._binder_index.version != self._version:
-                self._binder_index = BinderIndex(self)
-            return self._binder_index.subsumers_of(self.schema, key)
-        product = self.schema.product
-        return [other for other in self._tuples if product.subsumes(other, key)]
+        asserted) — the applicability set binding starts from, read off
+        the evaluator's postings."""
+        return _bulk.evaluator_for(self).subsumers_of(self.schema.check_item(item))
 
     def justify(self, item: Sequence[str]) -> "_binding.Justification":
         return _binding.justify(self, self.schema.check_item(item))
@@ -338,8 +299,6 @@ class HRelation:
         the domain — and each atom costs a bitset lookup, not a binding
         derivation.
         """
-        from repro.core import bulk as _bulk
-
         return _bulk.extension_atoms(self)
 
     def extension_size(self) -> int:

@@ -55,7 +55,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs as _obs
 from repro.core import algebra as _algebra
-from repro.core import binding as _binding
 from repro.core import bulk as _bulk
 from repro.core.relation import HRelation
 from repro.errors import ViewError
@@ -223,7 +222,7 @@ class ViewPlan:
         }[self.op]
 
     def evaluators(self, sources: Sequence[HRelation]) -> List[object]:
-        """Fresh truth evaluators mirroring the full operator's inputs."""
+        """Current truth evaluators mirroring the full operator's inputs."""
         if self.op == "select":
             schema = sources[0].schema
             cone = schema.item_from_mapping(dict(self.conditions), default_top=True)
@@ -232,29 +231,6 @@ class ViewPlan:
                 _bulk.ConeEvaluator(schema.product, cone),
             ]
         return [_bulk.evaluator_for(source) for source in sources]
-
-    def pointwise_truth(
-        self, sources: Sequence[HRelation], item: Item
-    ) -> Optional[bool]:
-        """The view's truth at one item via per-item binding — no bulk
-        evaluator build.  The delta path uses this when only a handful
-        of candidates changed: rebuilding an evaluator snapshot is
-        O(hierarchy + stored tuples) per refresh, which would dominate a
-        single-tuple patch.  ``None`` signals a conflict at ``item``."""
-        if self.op == "select":
-            schema = sources[0].schema
-            cone = schema.item_from_mapping(dict(self.conditions), default_top=True)
-            truth, _ = _binding.truth_and_binders(sources[0], item)
-            if truth is None:
-                return None
-            return truth and schema.product.subsumes(cone, item)
-        truths: List[bool] = []
-        for source in sources:
-            truth, _ = _binding.truth_and_binders(source, item)
-            if truth is None:
-                return None
-            truths.append(truth)
-        return self.truth_fn()(*truths)
 
     def __repr__(self) -> str:
         return "ViewPlan({!r}, {} sources{})".format(
@@ -291,11 +267,6 @@ class MaterializedView:
     #: Full-recompute trigger: the pool may grow to at most this many
     #: times its size at the last full refresh before being rebuilt.
     pool_growth_limit = 4
-
-    #: Affected sets at or below this size are re-evaluated pointwise
-    #: (per-item binding) instead of through a bulk-evaluator snapshot,
-    #: whose build cost scales with the whole relation.
-    delta_pointwise_limit = 16
 
     def __init__(
         self,
@@ -498,29 +469,20 @@ class MaterializedView:
             self._rollback(base_len)
             return False  # touching most of the pool: rebuild instead
 
-        # 3. Re-evaluate only the affected candidates — pointwise for
-        #    small patches (an evaluator snapshot costs O(relation) to
-        #    build), through fresh bulk evaluators for large ones.
+        # 3. Re-evaluate only the affected candidates, through the
+        #    sources' evaluators (advanced by the same delta, not rebuilt).
         truths: List[bool] = []
-        if len(affected) <= self.delta_pointwise_limit:
-            for item in affected:
-                truth = self._plan.pointwise_truth(sources, item)
+        evaluators = self._plan.evaluators(sources)
+        fn = self._plan.truth_fn()
+        for item in affected:
+            row: List[bool] = []
+            for evaluator in evaluators:
+                truth = evaluator.truth(item)
                 if truth is None:  # conflict: let the full path raise it
                     self._rollback(base_len)
                     return False
-                truths.append(truth)
-        else:
-            evaluators = self._plan.evaluators(sources)
-            fn = self._plan.truth_fn()
-            for item in affected:
-                row: List[bool] = []
-                for evaluator in evaluators:
-                    truth = evaluator.truth(item)
-                    if truth is None:
-                        self._rollback(base_len)
-                        return False
-                    row.append(truth)
-                truths.append(fn(*row))
+                row.append(truth)
+            truths.append(fn(*row))
 
         # 4. Patch the cached relation in place.  The frozen handle is
         #    bypassed through the base class on purpose; re-asserting an

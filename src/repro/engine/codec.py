@@ -374,19 +374,15 @@ def is_binary_body(body: bytes) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _relation_postings(relation) -> Optional[List[Dict[str, int]]]:
+def _relation_postings(relation) -> List[Dict[str, int]]:
     """The relation's per-attribute posting tables, building the bulk
-    evaluator if needed (which also warms the serving cache) — ``None``
-    when the schema has preference edges (those delegate per item and
-    carry no sweep).
+    evaluator if needed (which also warms the serving cache).
 
     Recovery trusts bit *i* to be row *i* of the stored tuples, and an
     evaluator advanced through retractions has reused slots: that one is
     swept afresh here (a checkpoint is O(relation) anyway)."""
     from repro.core import bulk as _bulk
 
-    if relation.schema.product.has_preference_edges():
-        return None
     evaluator = _bulk.evaluator_for(relation)
     if not evaluator.in_row_order():
         evaluator = _bulk.build_evaluator(relation)
@@ -436,13 +432,10 @@ def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
         blocks.append(pack_rows(items, len(relation.schema.attributes)))
         entry["signs"] = len(blocks)
         blocks.append(pack_signs(truths))
-        postings = _relation_postings(relation)
-        if postings is not None:
-            indexes = []
-            for table in postings:
-                indexes.append(len(blocks))
-                blocks.append(pack_postings(table))
-            entry["postings"] = indexes
+        entry["postings"] = []
+        for table in _relation_postings(relation):
+            entry["postings"].append(len(blocks))
+            blocks.append(pack_postings(table))
         relations.append(entry)
     views = [
         {

@@ -609,12 +609,10 @@ class HQLExecutor:
 
         lines = ["plan for: {}".format(type(inner).__name__.lower())]
         for relation in inputs:
-            if len(relation) >= relation.index_threshold:
-                path = "indexed applicability (BinderIndex)"
-            elif relation.schema.product.needs_elimination_binding():
-                path = "node-elimination binding (non-normal-form hierarchy)"
+            if bulk.evaluator_for(relation).sweep_exact:
+                path = "posting sweep"
             else:
-                path = "scan + minimal-binder fast path"
+                path = "posting sweep + node elimination for strategy-sensitive items"
             lines.append(
                 "  input {}: {} stored tuple(s), strategy={}, {}".format(
                     relation.name, len(relation), relation.strategy.name, path

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core import binding as _binding
 from repro.core.consolidate import consolidate as _consolidate
 from repro.core.relation import HRelation
 from repro.errors import HierarchyError
@@ -128,8 +127,8 @@ def _cone_extension_unchanged(relation: HRelation, item) -> bool:
     trial.retract(item)
     for atom in relation.schema.product.leaves_under(item):
         try:
-            before = _binding.truth_of(relation, atom)
-            after = _binding.truth_of(trial, atom)
+            before = relation.truth_of(atom)
+            after = trial.truth_of(atom)
         except Exception:
             return False
         if before != after:

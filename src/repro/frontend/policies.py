@@ -14,7 +14,7 @@ import enum
 import warnings
 from typing import Dict, Sequence
 
-from repro.core import binding as _binding
+from repro.core import bulk as _bulk
 from repro.core.relation import HRelation
 from repro.errors import ReproError
 
@@ -91,7 +91,7 @@ class GuardedRelation:
         from some applicable tuple (not merely the closed-world
         default)."""
         key = self.relation.schema.check_item(item)
-        current, binders = _binding.truth_and_binders(self.relation, key)
+        current, binders = _bulk.evaluator_for(self.relation).truth_and_binders(key)
         if not binders:
             return False  # only the closed-world default; not an exception
         return current is None or current != truth

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-from repro.core import binding as _binding
+from repro.core import bulk as _bulk
 from repro.core.conflicts import Conflict, find_conflicts, resolution_tuples
 from repro.core.htuple import HTuple
 from repro.core.relation import HRelation
@@ -136,7 +136,7 @@ def assert_unique_property(
         if other == value:
             continue
         item = build(subject, other)
-        current, binders = _binding.truth_and_binders(relation, item)
+        current, binders = _bulk.evaluator_for(relation).truth_and_binders(item)
         if binders and current is not False:
             cancellation = HTuple(item, False)
             relation.assert_item(item, truth=False, replace=True)

@@ -57,7 +57,8 @@ def test_matches_binding_on_school(school):
 
 def test_matches_binding_with_preference_edges():
     """Preference edges put the binding order at odds with the
-    applicability order; the evaluator must delegate and still agree."""
+    applicability order; the evaluator must not trust its minimal
+    frontier there, and still agree."""
     h = (
         HierarchyBuilder("animal")
         .klass("bird")
@@ -133,9 +134,10 @@ def test_evaluator_is_cached_until_a_version_moves(flying):
     assert bulk_truth_of(flies, ("tina",)) is True
 
 
-def test_preference_edge_evaluator_is_rebuilt_not_advanced():
-    """A delegating evaluator carries no postings to advance: a write
-    to a preference-edge relation sweeps again, and still agrees."""
+def test_preference_edge_evaluator_is_advanced():
+    """Preference edges change the binding order, not applicability: the
+    relation carries postings like any other, a write advances them, and
+    the advanced evaluator (not a fresh one) still agrees."""
     h = (
         HierarchyBuilder("animal")
         .klass("bird")
@@ -153,26 +155,12 @@ def test_preference_edge_evaluator_is_rebuilt_not_advanced():
     advances = registry.counter("bulk.evaluator.advances").value
     relation.retract(("sick_bird",))
     relation.assert_item(("bird",), truth=True)
-    evaluator_for(relation)
-    assert registry.counter("bulk.evaluator.builds").value == builds + 1
-    assert registry.counter("bulk.evaluator.advances").value == advances
-    _assert_matches_binding(relation)
-
-
-def test_scoped_binder_cache_keeps_unrelated_entries(flying):
-    flies = flying.flies
-    flies.truth_of(("tweety",))
-    flies.truth_of(("paul",))
-    assert len(flies._binder_cache) >= 2
-    before = dict(flies._binder_cache)
-    # A write under canary touches tweety's cone, not paul's.
-    flies.assert_item(("canary",), truth=False)
-    assert all(not flying.animal.subsumes("canary", key[1][0])
-               for key in flies._binder_cache)
-    assert any(key in flies._binder_cache for key in before)
-    assert flies.truth_of(("tweety",)) is False
-    assert flies.truth_of(("paul",)) is False
-    assert flies.truth_of(("pamela",)) is True
+    advanced = evaluator_for(relation)
+    assert registry.counter("bulk.evaluator.builds").value == builds
+    assert registry.counter("bulk.evaluator.advances").value == advances + 1
+    assert sorted(advanced.subsumers_of(("pete",))) == [("bird",), ("penguin",)]
+    for item in relation.schema.product.all_items():
+        assert advanced.truth_and_binders(item) == binding.truth_and_binders(relation, item)
 
 
 def test_retraction_is_order_independent(flying):
@@ -186,27 +174,3 @@ def test_retraction_is_order_independent(flying):
         ("penguin",),
         ("amazing_flying_penguin",),
     ]
-
-
-def test_incremental_index_survives_mixed_mutations(flying):
-    flies = flying.flies
-    flies.index_threshold = 0
-    probe = ("patricia",)
-    assert sorted(flies.subsumers_of(probe)) == [
-        ("amazing_flying_penguin",),
-        ("bird",),
-        ("penguin",),
-    ]
-    index = flies._binder_index
-    flies.assert_item(("galapagos_penguin",), truth=False)
-    flies.retract(("amazing_flying_penguin",))
-    flies.assert_item(("penguin",), truth=True, replace=True)  # sign flip
-    assert flies._binder_index is index  # maintained, not rebuilt
-    assert sorted(flies.subsumers_of(probe)) == [
-        ("bird",),
-        ("galapagos_penguin",),
-        ("penguin",),
-    ]
-    flies.clear()
-    assert flies._binder_index is None  # unscoped change: full drop
-    assert flies.subsumers_of(probe) == []

@@ -134,7 +134,7 @@ class TestBasicFlow:
         assert result.kind == "plan"
         assert "meet-closure candidates" in result.message
         assert "wall time" in result.message
-        assert "scan + minimal-binder fast path" in result.message
+        assert "strategy=off-path, posting sweep\n" in result.message
 
     def test_explain_count(self, db):
         (result,) = db.execute("EXPLAIN COUNT flies;")
@@ -146,10 +146,15 @@ class TestBasicFlow:
         assert "input flies" in result.message
         assert "input likes" in result.message
 
-    def test_explain_reports_index_path(self, db):
-        db.relation("flies").index_threshold = 0
+    def test_explain_reports_binding_path(self, db):
         (result,) = db.execute("EXPLAIN COUNT flies;")
-        assert "BinderIndex" in result.message
+        assert "strategy=off-path, posting sweep\n" in result.message
+        db.execute("CREATE RELATION likes (creature: animal) WITH STRATEGY on-path;")
+        (result,) = db.execute("EXPLAIN COUNT likes;")
+        assert (
+            "strategy=on-path, posting sweep + node elimination for "
+            "strategy-sensitive items\n"
+        ) in result.message
 
     def test_explain_rejects_ddl(self, db):
         from repro.errors import HQLSyntaxError

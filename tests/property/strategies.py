@@ -1,7 +1,8 @@
 """Hypothesis strategies: random small hierarchies and consistent relations.
 
 Hierarchies are generated in transitively-reduced normal form (the
-paper's off-path assumption); relations are made consistent by a repair
+paper's off-path assumption) unless a test asks for redundant class
+edges or preference edges; relations are made consistent by a repair
 loop that retracts one conflicting binder at a time, so downstream
 properties can assume the ambiguity constraint holds.
 """
@@ -12,16 +13,25 @@ from typing import Tuple
 
 from hypothesis import strategies as st
 
+from repro.errors import CycleError
 from repro.hierarchy import Hierarchy, algorithms
 from repro.core import HRelation, RelationSchema
 
 
 @st.composite
 def hierarchies(
-    draw, max_nodes: int = 7, name: str = "h", max_parents: int = 2
+    draw,
+    max_nodes: int = 7,
+    name: str = "h",
+    max_parents: int = 2,
+    redundant_edges: bool = False,
+    preference_edges: bool = False,
 ) -> Hierarchy:
     """A random rooted DAG with no redundant edges (``max_parents=1``:
-    a tree)."""
+    a tree).  ``redundant_edges`` / ``preference_edges`` then draw up to
+    two of each on top: class edges parallel to an existing path (the
+    appendix's "Pamela is a Penguin" link) and binding-only edges
+    between otherwise incomparable nodes."""
     count = draw(st.integers(min_value=1, max_value=max_nodes))
     edges: dict = {"root": set()}
     names = ["n{}".format(i) for i in range(count)]
@@ -48,7 +58,33 @@ def hierarchies(
             continue
         parents = sorted(algorithms.immediate_predecessors(reduced, node))
         hierarchy.add_class(node, parents=parents)
+    pairs = [(a, b) for a in hierarchy.nodes() for b in names if a != b]
+    if redundant_edges:
+        shortcuts = [
+            (a, b)
+            for a, b in pairs
+            if hierarchy.subsumes(a, b) and a not in hierarchy.parents(b)
+        ]
+        for a, b in draw(_up_to_two(shortcuts)):
+            hierarchy.add_edge(a, b)
+    if preference_edges:
+        unordered = [
+            (a, b)
+            for a, b in pairs
+            if a != "root" and not hierarchy.subsumes(a, b) and not hierarchy.subsumes(b, a)
+        ]
+        for weaker, stronger in draw(_up_to_two(unordered)):
+            try:
+                hierarchy.add_preference_edge(weaker, stronger)
+            except CycleError:  # the first drawn edge already orders the pair
+                pass
     return hierarchy
+
+
+def _up_to_two(candidates):
+    if not candidates:
+        return st.just([])
+    return st.lists(st.sampled_from(candidates), max_size=2, unique=True)
 
 
 @st.composite
@@ -59,13 +95,18 @@ def relations(
     arity: int = 1,
     consistent: bool = True,
     name: str = "r",
+    **hierarchy_draws: bool,
 ) -> HRelation:
     """A random relation over fresh (or given) hierarchies; repaired to
-    consistency when requested."""
+    consistency when requested.  ``hierarchy_draws`` are passed to
+    :func:`hierarchies` (``redundant_edges``, ``preference_edges``)."""
     if hierarchy is not None:
         factors = [hierarchy] * arity
     else:
-        factors = [draw(hierarchies(name="h{}".format(i))) for i in range(arity)]
+        factors = [
+            draw(hierarchies(name="h{}".format(i), **hierarchy_draws))
+            for i in range(arity)
+        ]
     schema = RelationSchema(
         [("a{}".format(i), h) for i, h in enumerate(factors)]
     )

@@ -1,20 +1,17 @@
-"""Bulk evaluation vs per-item binding: the two paths must be identical.
+"""The engine vs the per-item reference: the two must be identical.
 
 The :class:`~repro.core.bulk.BulkEvaluator` answers most queries from
-one bitset sweep and delegates the rest; per-item binding re-derives
-everything per query.  On random normal-form DAGs — deliberately
+one bitset sweep and runs node elimination for the rest; per-item
+binding (:mod:`repro.core.binding`, the reference) re-derives everything
+per query from a scan of the relation.  On random DAGs — deliberately
 *without* the consistency repair, so conflicted items exercise the
-``None`` verdicts — every item of D* must get the same truth under
-every preemption strategy, and the off-path / no-preemption binder
-lists must match tuple for tuple.
+``None`` verdicts — every item of D* must get the same truth and the
+same binder list under every preemption strategy.
 
-The second half pins the incremental :class:`~repro.core.index.
-BinderIndex` invariant: an index maintained by assert/retract deltas
-answers ``subsumers_of`` exactly like one rebuilt from scratch.
-
-The third pins the same invariant for the evaluator itself: one
+The second half drives the memoised evaluator through writes: one
 advanced through the relation's delta log answers exactly like one
-swept from scratch, and reuses the bit slots retractions free.
+swept from scratch and like the reference, redundant and preference
+edges included, and reuses the bit slots retractions free.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import HRelation, NO_PREEMPTION, OFF_PATH, ON_PATH
 from repro.core import binding, bulk
-from repro.core.index import BinderIndex
 from repro.hierarchy import Hierarchy
 from tests.property.strategies import relations
 
@@ -56,9 +52,8 @@ def test_bulk_truth_matches_binding_arity_two(relation):
 @settings(max_examples=60, deadline=None)
 @given(relations(max_tuples=5, consistent=False))
 def test_bulk_binders_match_binding_exactly(relation):
-    """Binder lists, not just truths: order and content must agree on
-    the strategies the sweep answers natively (the rest delegate, so
-    equality there is trivial but still asserted)."""
+    """Binder lists, not just truths: order and content must agree,
+    whether the sweep or node elimination produced them."""
     product = relation.schema.product
     for strategy in STRATEGIES:
         evaluator = bulk.BulkEvaluator(relation, strategy)
@@ -96,62 +91,25 @@ def test_evaluator_for_tracks_mutations(relation):
     ]
 
 
-# ----------------------------------------------------------------------
-# incremental BinderIndex == rebuilt BinderIndex
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(relations(max_tuples=8, consistent=False))
-def test_incremental_index_equals_rebuilt(relation):
-    """Drive a live index through the relation's own delta feed, then
-    compare against a from-scratch rebuild at every step."""
-    schema = relation.schema
-    ops = list(relation.asserted.items())
-    probes = list(schema.product.all_items())
-
-    live = HRelation(schema, name="live")
-    live.index_threshold = 0  # force the indexed path from the start
-    for step, (item, truth) in enumerate(ops):
-        live.subsumers_of(probes[0])  # materialise/refresh the live index
-        live.assert_item(item, truth=truth)
-        if step % 2 == 1:
-            live.retract(item)
-        fresh = BinderIndex(live)
-        incremental = live._binder_index
-        assert incremental is not None
-        assert incremental.version == live.version
-        for probe in probes:
-            assert sorted(incremental.subsumers_of(schema, probe)) == sorted(
-                fresh.subsumers_of(schema, probe)
-            ), probe
-        # And the indexed answer equals the brute-force scan.
-        product = schema.product
-        for probe in probes:
-            assert sorted(live.subsumers_of(probe)) == sorted(
-                other for other in live.asserted if product.subsumes(other, probe)
-            ), probe
-
-
 @settings(max_examples=60, deadline=None)
 @given(relations(max_tuples=6, consistent=False))
 def test_scoped_cache_invalidation_is_sound(relation):
-    """Warm the per-item binder cache everywhere, mutate one item, and
-    require every cached answer to still match a cold relation."""
+    """Warm the evaluator everywhere, mutate one item, and require every
+    answer of the advanced evaluator to match the reference on a cold
+    relation."""
     product = relation.schema.product
     probes = list(product.all_items())
-    for probe in probes:  # warm the cache
-        binding.truth_and_binders(relation, probe)
+    for probe in probes:  # warm the evaluator and its minimality memo
+        relation.strongest_binders(probe)
     stored = relation.items()
     if stored:
         relation.retract(stored[len(stored) // 2])
     else:
         relation.assert_item((relation.schema.hierarchies[0].root,), truth=True)
-    cold = relation.copy(name="cold")
+    cold = HRelation(relation.schema, name="cold")
+    cold.assert_all(relation.asserted.items())
     for probe in probes:
-        assert binding.truth_and_binders(relation, probe) == binding.truth_and_binders(
-            cold, probe
-        ), probe
+        assert relation.strongest_binders(probe) == binding.strongest_binders(cold, probe), probe
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +158,64 @@ def test_advanced_evaluator_equals_rebuilt(data):
     _assert_same_answers(advanced, bulk.BulkEvaluator(relation), product)
     widest = max((m for table in advanced._postings for m in table.values()), default=0)
     assert widest.bit_length() <= high_water
+
+
+def _assert_engine_is_reference(relation):
+    product = relation.schema.product
+    evaluator = bulk.evaluator_for(relation)
+    for item in product.all_items():
+        expected = binding.truth_and_binders(relation, item)
+        assert evaluator.truth(item) == expected[0], (relation.strategy.name, item)
+        assert evaluator.truth_and_binders(item) == expected, (relation.strategy.name, item)
+        assert sorted(relation.subsumers_of(item)) == sorted(
+            other for other in relation.asserted if product.subsumes(other, item)
+        ), item
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_advanced_engine_equals_reference(data):
+    """After any assert / retract / sign-flip sequence, under all three
+    strategies, the memoised evaluator (advanced, never rebuilt) returns
+    the per-item reference's truth *and* binder list at every item of
+    D*, and ``subsumers_of`` equals the inline ``subsumes`` scan — over
+    hierarchies that may carry redundant class edges and preference
+    edges, where node elimination, not the sweep, decides."""
+    arity = data.draw(st.integers(min_value=1, max_value=2))
+    seed = data.draw(
+        relations(
+            arity=arity,
+            max_tuples=5,
+            consistent=False,
+            redundant_edges=True,
+            preference_edges=True,
+        )
+    )
+    factors = seed.schema.hierarchies
+    twins = []
+    for strategy in STRATEGIES:
+        twin = seed.copy()
+        twin.strategy = strategy
+        _assert_engine_is_reference(twin)  # the one sweep per strategy
+        twins.append(twin)
+    builds = bulk._obs.default_registry().counter("bulk.evaluator.builds")
+    swept = builds.value
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        item = tuple(data.draw(st.sampled_from(h.nodes())) for h in factors)
+        retract = item in seed.asserted and data.draw(st.booleans())
+        truth = data.draw(st.booleans())
+        check = data.draw(st.booleans())
+        for relation in [seed] + twins:
+            if retract:
+                relation.retract(item)
+            else:
+                relation.assert_item(item, truth=truth, replace=True)
+        if check:
+            for twin in twins:
+                _assert_engine_is_reference(twin)
+    for twin in twins:
+        _assert_engine_is_reference(twin)
+    assert builds.value == swept
 
 
 def test_toggling_never_widens_the_masks():

@@ -151,6 +151,49 @@ class TestSnapshot:
         assert list(table) == [node for node in order if node in table]
         assert list(table) != sorted(table)
 
+    def test_preference_edge_relation_recovers_prewarmed(self):
+        """A preference edge changes the binding order, not the
+        postings: the snapshot carries them, and the evaluator recovered
+        from them answers like a fresh sweep."""
+        from repro.core.bulk import BulkEvaluator, evaluator_for
+
+        database = sample_database()
+        database.execute(
+            "CREATE CLASS sick_bird IN animal UNDER bird;"
+            "CREATE INSTANCE pete IN animal UNDER penguin, sick_bird;"
+            "PREFER penguin OVER sick_bird IN animal;"
+            "ASSERT flies (sick_bird);"
+        )
+        recovered, envelope = codec.decode_snapshot(codec.encode_snapshot(database))
+        (spec,) = envelope["relations"]
+        assert len(spec["postings"]) == 1
+        relation = recovered.relation("flies")
+        assert relation.schema.product.has_preference_edges()
+        preloaded = relation._bulk_eval
+        assert preloaded is not None and evaluator_for(relation) is preloaded
+        fresh = BulkEvaluator(relation)
+        assert preloaded._postings == [
+            {node: mask for node, mask in table.items() if mask}
+            for table in fresh._postings
+        ]
+        for item in relation.schema.product.all_items():
+            assert preloaded.truth_and_binders(item) == fresh.truth_and_binders(item)
+        assert relation.holds("pete") is False  # -penguin preempts +sick_bird
+
+    def test_snapshot_without_postings_still_loads(self):
+        """What the parent wrote for a preference-edge relation: no
+        ``postings`` key.  It loads cold and sweeps at the first read."""
+        data = codec.encode_snapshot(sample_database())
+        envelope, blocks = codec.decode_container(data, codec.SNAPSHOT_MAGIC)
+        for spec in envelope["relations"]:
+            del spec["postings"]
+        recovered, _ = codec.decode_snapshot(
+            codec.encode_container(codec.SNAPSHOT_MAGIC, envelope, blocks)
+        )
+        relation = recovered.relation("flies")
+        assert relation._bulk_eval is None
+        assert relation.holds("tweety") and not relation.holds("pingo")
+
     def test_roundtrip_preserves_views_and_extra(self):
         database = sample_database()
         database.define_view("flyers", "union", ["flies", "flies"])

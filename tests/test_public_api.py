@@ -61,6 +61,17 @@ class TestNoKnobComesBack:
             repro.planner.__all__
         )
 
+    def test_one_binding_engine(self):
+        """Every truth question reads the relation's evaluator: no second
+        posting structure, no size threshold choosing between them, no
+        per-item fork in the view refresh."""
+        import repro.core
+        from repro.core.views import MaterializedView
+
+        assert not hasattr(repro.core.HRelation, "index_threshold")
+        assert not hasattr(MaterializedView, "delta_pointwise_limit")
+        assert not hasattr(repro.core, "BinderIndex")
+
 
 class TestQuickstart:
     def test_readme_example(self):
