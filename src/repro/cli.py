@@ -96,11 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enable the slow-query log at this threshold (milliseconds)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        help="shard-parallel worker processes for large queries (0 = serial)",
-    )
-    serve.add_argument(
         "--replicate-from",
         metavar="HOST:PORT",
         help="run as a read-only follower streaming this leader's journal",
@@ -193,13 +188,6 @@ def _cmd_serve(args) -> int:
             "it cannot combine with --data-dir or --db"
         )
         return 2
-    if args.workers is not None:
-        if args.workers < 0:
-            print("error: --workers must be >= 0")
-            return 2
-        from repro import parallel
-
-        parallel.configure(workers=args.workers)
     database = None
     if args.db:
         database = HierarchicalDatabase.load(args.db)

@@ -112,12 +112,9 @@ def pointwise_sweep(
     seeds: Iterable[Item],
     consolidate: bool,
     shortcircuit: Optional[str] = None,
-    conflicted: Optional[List[Item]] = None,
 ) -> Sweep:
-    """Candidates → truths → redundancy flags → emitted pairs: the one
-    kernel behind the serial engine (:func:`_pointwise`) and every
-    parallel shard (:mod:`repro.parallel.worker`), so the two cannot
-    drift and their output stays bit-identical.
+    """Candidates → truths → redundancy flags → emitted pairs: the
+    kernel behind :func:`_pointwise`.
 
     Evaluates the meet-closure of ``seeds`` through the given truth
     evaluators in topological order.  With ``consolidate`` on a
@@ -132,15 +129,13 @@ def pointwise_sweep(
     first *true* for OR, first *false* for AND.
 
     A candidate whose strongest binders conflict in some input raises
-    :class:`InconsistentRelationError`, unless ``conflicted`` is a
-    list: then the item is appended to it and evaluated as false (a
-    shard reports conflicts and the coordinator judges them).
+    :class:`InconsistentRelationError`.
     """
     product = schema.product
     stats: Counter = Counter()
     candidates = product.topological_sort(product.meet_closure(seeds, stats))
     probes = [evaluator.truth for evaluator in evaluators]
-    truths: List[bool] = []  # None marks a conflicted candidate until patched below
+    truths: List[bool] = []  # None marks a conflicted candidate until checked below
     if shortcircuit is None:
         for item in candidates:
             row = []  # written out: a comprehension per candidate costs a frame
@@ -161,14 +156,9 @@ def pointwise_sweep(
                     break
             truths.append(value)
     if None in truths:
-        for i, value in enumerate(truths):
-            if value is None:
-                if conflicted is None:
-                    raise InconsistentRelationError(
-                        [Conflict(item=candidates[i], binders=())]
-                    )
-                conflicted.append(candidates[i])
-                truths[i] = False
+        raise InconsistentRelationError(
+            [Conflict(item=candidates[truths.index(None)], binders=())]
+        )
     # The fused mask sweep is exact only without elimination binding;
     # non-normal-form products run the literal two-step procedure.
     fused = consolidate and not product.needs_elimination_binding()
@@ -265,14 +255,9 @@ def combine(
     :class:`InconsistentRelationError` if evaluating a candidate hits a
     conflict in any input.
 
-    ``fn_token`` optionally names ``fn`` in the picklable vocabulary of
-    :data:`repro.parallel.worker.FN_TOKENS` (``"or"``, ``"and"``, ...);
-    when given and the parallel layer is enabled, the evaluation may be
-    cone-partitioned across worker processes — the result is identical
-    either way.  Arbitrary ``fn`` callables always run serially.
-
-    A symmetric ``fn_token`` (``or``/``and``/``any``/``all``)
-    additionally lets n-ary evaluation be *reordered*
+    ``fn_token`` optionally names ``fn`` (``"or"``, ``"and"``,
+    ``"andnot"``, ``"any"``, ``"all"``).  A symmetric one
+    (``or``/``and``/``any``/``all``) lets n-ary evaluation be *reordered*
     by estimated cone coverage and short-circuited per candidate (see
     :func:`repro.planner.plan_combine`); ``andnot`` and anonymous
     callables always evaluate left-to-right.  The result is identical
@@ -297,15 +282,6 @@ def combine(
         inputs=len(relations),
         tuples_in=sum(len(r) for r in relations),
     ) as sp:
-        if fn_token is not None:
-            from repro import parallel as _parallel
-
-            sharded = _parallel.maybe_combine(
-                relations, fn_token, name=name, extra_items=tuple(extra_items),
-                consolidate=consolidate, capture=capture,
-            )
-            if sharded is not None:
-                return sharded
         from repro import planner as _planner
 
         # One bulk evaluator per input: the candidate set is evaluated
@@ -415,15 +391,6 @@ def select(
     with _span(
         "algebra.select", source=relation.name, tuples_in=len(relation)
     ):
-        from repro import parallel as _parallel
-
-        sharded = _parallel.maybe_select(
-            relation, cone_item,
-            name or "{}_where".format(relation.name),
-            consolidate=consolidate, capture=capture,
-        )
-        if sharded is not None:
-            return sharded
         return _cone_pointwise(
             relation,
             [cone_item],
@@ -580,13 +547,6 @@ def join(
             if left_eval.sweep_exact and right_eval.sweep_exact:
                 default_registry().counter("algebra.join.zero_copy").inc()
                 sp.annotate(zero_copy=True)
-                from repro import parallel as _parallel
-
-                sharded = _parallel.maybe_join(
-                    left, right, merged_schema, out_name, consolidate=consolidate
-                )
-                if sharded is not None:
-                    return sharded
                 left_pos, left_seeds = _padded_seeds(merged_schema, left)
                 right_pos, right_seeds = _padded_seeds(merged_schema, right)
                 return _pointwise(

@@ -536,53 +536,6 @@ def minimal_of_mask(mask: int, subsumers: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# shard snapshots (the parallel execution layer)
-# ----------------------------------------------------------------------
-
-
-def sign_masks(pairs: Sequence[Tuple[Item, bool]]) -> Tuple[int, int]:
-    """The positive / negative sign bitsets of an ordered sequence of
-    ``(item, truth)`` pairs — bit *i* belongs to the *i*-th pair.  This
-    is the same layout :class:`BulkEvaluator` derives internally; the
-    parallel layer serialises it into each :class:`~repro.parallel.
-    snapshot.ShardSnapshot` so workers rebuild identical evaluators."""
-    pos = neg = 0
-    for i, (_, truth) in enumerate(pairs):
-        if truth:
-            pos |= 1 << i
-        else:
-            neg |= 1 << i
-    return pos, neg
-
-
-def mask_to_bytes(mask: int) -> bytes:
-    """Serialise a posting / sign bitset for shipping across a process
-    boundary (little-endian ``int.to_bytes``; zero-width masks become
-    one zero byte so the round-trip stays total)."""
-    return mask.to_bytes(max(1, (mask.bit_length() + 7) // 8), "little")
-
-
-def mask_from_bytes(data: bytes) -> int:
-    """Inverse of :func:`mask_to_bytes`."""
-    return int.from_bytes(data, "little")
-
-
-def merge_emitted(product, parts: Sequence[Sequence[Tuple[Item, bool]]]) -> List[Tuple[Item, bool]]:
-    """Merge per-shard ``(item, truth)`` emissions back into the global
-    emission order.  Ownership makes the parts disjoint, so the merge is
-    a concatenation re-sorted by the full product's topological key —
-    exactly the insertion order the serial pointwise sweep produces."""
-    merged: List[Tuple[Item, bool]] = []
-    for part in parts:
-        merged.extend((tuple(item), truth) for item, truth in part)
-    ranks = [h.topological_ranks() for h in product.factors]
-    merged.sort(
-        key=lambda pair: tuple(rank[v] for rank, v in zip(ranks, pair[0]))
-    )
-    return merged
-
-
-# ----------------------------------------------------------------------
 # module API
 # ----------------------------------------------------------------------
 
@@ -656,38 +609,7 @@ def extension_atoms(relation) -> Iterator[Item]:
     Same contract as the historical per-item loop — atoms below the
     positive tuples, deduplicated, filtered by binding, conflicted atoms
     raising :class:`AmbiguityError` — at one bitset lookup per atom.
-
-    With the parallel layer enabled and a decomposable workload, the
-    per-atom truth evaluation is cone-partitioned across workers; the
-    coordinator then replays the serial enumeration order over the
-    returned atom set (membership only, no evaluation), so the stream is
-    bit-identical to the serial one.  A conflicted atom raises eagerly
-    rather than mid-stream.
     """
-    from repro import parallel as _parallel
-
-    atoms = _parallel.maybe_extension(relation)
-    if atoms is not None:
-        return _writer_order_atoms(relation, set(atoms))
-    return _extension_atoms_serial(relation)
-
-
-def _writer_order_atoms(relation, keep) -> Iterator[Item]:
-    """Replay the serial enumeration order over a precomputed atom set."""
-    product = relation.schema.product
-    seen = set()
-    for item, truth in relation.asserted.items():
-        if not truth:
-            continue
-        for atom in product.leaves_under(item):
-            if atom in seen:
-                continue
-            seen.add(atom)
-            if atom in keep:
-                yield atom
-
-
-def _extension_atoms_serial(relation) -> Iterator[Item]:
     evaluator = evaluator_for(relation)
     product = relation.schema.product
     seen = set()

@@ -147,17 +147,8 @@ def _probe(relation, evaluator, candidates: Iterable[Item]) -> Tuple[List[Confli
 
 
 def _scan(relation, exhaustive: bool = False) -> Tuple[List[Conflict], int]:
-    """:func:`find_conflicts` plus the number of items probed in this
-    process (a sharded scan probes in its workers and counts none)."""
+    """:func:`find_conflicts` plus the number of items probed."""
     product = relation.schema.product
-    if not exhaustive:
-        from repro import parallel as _parallel
-
-        sharded = _parallel.maybe_conflicts(relation)
-        if sharded is not None:
-            if not sharded:
-                relation._consistent_at = _state(relation)
-            return sharded, 0
     evaluator = _bulk.evaluator_for(relation)
     if exhaustive:
         candidates: Iterator[Item] | List[Item] = product.all_items()

@@ -71,15 +71,7 @@ def explicate(
     if drop_negated is None:
         drop_negated = full
     if full and drop_negated:
-        from repro import parallel as _parallel
-
-        atoms = _parallel.maybe_extension(relation, raise_on_conflict=False)
-        if atoms is _parallel.CONFLICT:
-            atoms = None  # conflicted: legacy writer-order fallback below
-        elif atoms is not None:
-            atoms = _most_specific_order(relation, set(atoms))
-        else:
-            atoms = _bulk_extension(relation)
+        atoms = _bulk_extension(relation)
         if atoms is not None:
             out = relation.copy(name=name or relation.name)
             out.clear()
@@ -112,27 +104,6 @@ def explicate(
             continue
         out.assert_item(item, truth=truth)
     return out
-
-
-def _most_specific_order(relation, keep) -> List[Item]:
-    """Replay :func:`_bulk_extension`'s most-specific-writer-first
-    enumeration over a precomputed atom set (membership tests only), so
-    the parallel path inserts atoms in exactly the serial order."""
-    product = relation.schema.product
-    ordered = product.topological_sort(
-        (item for item, truth in relation.asserted.items() if truth),
-        reverse=True,
-    )
-    atoms: List[Item] = []
-    seen = set()
-    for item in ordered:
-        for atom in product.leaves_under(item):
-            if atom in seen:
-                continue
-            seen.add(atom)
-            if atom in keep:
-                atoms.append(atom)
-    return atoms
 
 
 def _bulk_extension(relation) -> List[Item] | None:

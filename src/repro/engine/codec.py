@@ -37,7 +37,6 @@ import sys
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bulk import mask_from_bytes, mask_to_bytes
 from repro.errors import ProtocolError, StorageError
 
 #: First bytes of a binary wire-message body.  JSON bodies start with
@@ -193,7 +192,7 @@ def unpack_row_tuples(block: bytes) -> List[Tuple[str, ...]]:
 
 def pack_signs(truths: Sequence[bool]) -> bytes:
     """The positive-sign bitset of a row sequence (bit *i* = row *i*,
-    little-endian bytes — the same layout ``mask_to_bytes`` ships)."""
+    little-endian bytes — the same layout as :func:`mask_to_bytes`)."""
     out = bytearray((len(truths) + 7) // 8 or 1)
     for i, truth in enumerate(truths):
         if truth:
@@ -220,6 +219,18 @@ def unpack_signs(block: bytes, count: int) -> List[bool]:
 # ----------------------------------------------------------------------
 # posting blocks
 # ----------------------------------------------------------------------
+
+
+def mask_to_bytes(mask: int) -> bytes:
+    """A posting / sign bitset as little-endian ``int.to_bytes``;
+    zero-width masks become one zero byte so the round-trip stays
+    total."""
+    return mask.to_bytes(max(1, (mask.bit_length() + 7) // 8), "little")
+
+
+def mask_from_bytes(data: bytes) -> int:
+    """Inverse of :func:`mask_to_bytes`."""
+    return int.from_bytes(data, "little")
 
 
 def pack_postings(table: Dict[str, int]) -> bytes:

@@ -232,12 +232,9 @@ class Stats(Statement):
 
 @dataclass(frozen=True)
 class Set(Statement):
-    """SET <option> <value>; — session/process configuration.
-
-    ``SET PARALLEL n`` fixes the shard-parallel worker count (0 turns
-    parallel execution off).  Not a mutating statement: it changes how
-    queries run, never what they answer, so the operation log skips it.
-    """
+    """SET <option> <value>; — parsed and round-tripped, but no option
+    is accepted: executing one raises ``unknown SET option``.  Not a
+    mutating statement, so the operation log skips it."""
 
     option: str
     value: str

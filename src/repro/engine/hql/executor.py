@@ -621,7 +621,6 @@ class HQLExecutor:
         schemas_match = all(
             r.schema.same_as(inputs[0].schema) for r in inputs[1:]
         )
-        join_zero_copy = False
         if schemas_match:
             from repro.core.algebra import meet_closure
 
@@ -653,7 +652,7 @@ class HQLExecutor:
             if isinstance(inner, ast.BinaryOp) and inner.op == "JOIN":
                 from repro.core import bulk as _bulk
 
-                join_zero_copy = zero_copy = all(
+                zero_copy = all(
                     r.strategy.name == "off-path"
                     and _bulk.evaluator_for(r).sweep_exact
                     for r in inputs
@@ -676,37 +675,6 @@ class HQLExecutor:
                 else "literal subsumption-graph elimination"
             )
         )
-        from repro import parallel as _parallel
-
-        if schemas_match:
-            fn_token = {
-                "UNION": "or",
-                "INTERSECT": "and",
-                "DIFFERENCE": "andnot",
-            }.get(getattr(inner, "op", None), "and")
-            parallel_plan = _parallel.plan(
-                inputs[0].schema,
-                [("full", r) for r in inputs],
-                fn_token=fn_token,
-            )
-            lines.append("  parallel: {}".format(parallel_plan.describe()))
-        elif join_zero_copy:
-            merged = inputs[0].schema.join_schema(inputs[1].schema)[0]
-            parallel_plan = _parallel.plan(
-                merged,
-                [
-                    (
-                        "proj",
-                        r,
-                        tuple(merged.index_of(a) for a in r.schema.attributes),
-                    )
-                    for r in inputs
-                ],
-                fn_token="and",
-            )
-            lines.append("  parallel: {}".format(parallel_plan.describe()))
-        else:
-            lines.append("  parallel: serial (materialised inputs)")
         # Peek (not get) before executing: the line reports what the
         # execution below is about to experience without perturbing the
         # hit/miss counters twice.
@@ -750,28 +718,9 @@ class HQLExecutor:
         return plan
 
     def _exec_set(self, stmt: ast.Set) -> Result:
-        """SET PARALLEL n; — an execution-only knob for this process:
-        never logged, never affects answers, so the query cache stays
-        valid across it."""
-        from repro import parallel
-
-        if stmt.option != "PARALLEL":
-            raise HQLError("unknown SET option {!r}".format(stmt.option))
-        try:
-            workers = int(stmt.value)
-        except ValueError:
-            raise HQLError(
-                "SET PARALLEL expects an integer, got {!r}".format(stmt.value)
-            )
-        if workers < 0:
-            raise HQLError("SET PARALLEL expects a count >= 0")
-        parallel.configure(workers=workers)
-        message = (
-            "parallel execution off (serial)"
-            if workers == 0
-            else "parallel workers set to {}".format(workers)
-        )
-        return Result(kind="set", payload=workers, message=message)
+        """SET <option> <value>; parses, but no option is accepted: there
+        is no per-process execution knob for one session to flip."""
+        raise HQLError("unknown SET option {!r}".format(stmt.option))
 
     def _exec_stats(self, stmt: ast.Stats) -> Result:
         """STATS; — one table over both registries: the database's

@@ -27,7 +27,6 @@ HQL quick reference:
   CONSOLIDATE r;  EXPLICATE r;     CONFLICTS r;  EXTENSION r;  COUNT r;
   SHOW RELATIONS; SHOW HIERARCHIES;
   EXPLAIN [ANALYZE] <query>;       STATS;
-  SET PARALLEL n;
   BEGIN; COMMIT; ROLLBACK;         SAVE 'file'; LOAD 'file';
 Meta: \\h help, \\q quit, \\stats (or .stats) metrics, \\slowlog (or
       .slowlog) the slow-query log, \\timing toggle per-statement times,

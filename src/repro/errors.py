@@ -128,13 +128,6 @@ class StorageError(ReproError):
     """A persistence problem: unreadable file or unsupported format version."""
 
 
-class EngineError(ReproError):
-    """An execution-engine failure outside the data model itself — e.g. a
-    parallel worker process that died mid-task.  The database state is
-    untouched (workers operate on immutable snapshots), so catching this
-    and retrying, or falling back to serial execution, is always safe."""
-
-
 class ServerError(ReproError):
     """A problem in the network server or client layer."""
 

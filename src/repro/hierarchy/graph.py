@@ -622,18 +622,18 @@ class Hierarchy:
         return self._version
 
     # ------------------------------------------------------------------
-    # picklable sub-hierarchy extraction (the parallel execution layer)
+    # cones and bulk loading
     # ------------------------------------------------------------------
 
     def downward_closure(self, values: Iterable[str]) -> Set[str]:
-        """Every (reflexive) descendant of any of ``values`` — the node
-        set of the induced sub-hierarchy a parallel shard needs.  Being
-        downward closed, the induced subgraph preserves reachability,
-        every parent-to-child path, and leaf status for all its nodes.
+        """Every (reflexive) descendant of any of ``values``: the cones a
+        write touched, which :meth:`BulkEvaluator.advanced
+        <repro.core.bulk.BulkEvaluator.advanced>` re-sweeps and the
+        cone-scoped commit check probes, and the node set
+        :meth:`leaves_under` filters.
 
-        A plain graph walk, O(closure): the coordinator calls this per
-        shard, and pulling full-width descendant bitsets here would cost
-        more than the workers' entire sweeps."""
+        A plain graph walk, O(closure): pulling full-width descendant
+        bitsets here would cost O(hierarchy) per touched cone."""
         closure: Set[str] = set()
         stack: List[str] = []
         for value in values:
@@ -649,63 +649,6 @@ class Hierarchy:
                     stack.append(child)
         return closure
 
-    def subgraph_payload(self, values: Iterable[str]) -> Dict[str, object]:
-        """A picklable description of the sub-hierarchy induced by the
-        downward closure of ``values``, plus the slice of the memoised
-        meet table that lives inside it.
-
-        The payload is plain dicts/lists/strings, so it crosses a
-        process boundary cheaply; :meth:`from_subgraph_payload` rebuilds
-        an equivalent :class:`Hierarchy`.  Nodes are listed in
-        topological order with their *in-set* parents only; nodes whose
-        parents all fall outside the closure hang directly under the
-        root.  The rebuilt graph therefore answers subsumption, meets,
-        leaves and topological ranks identically to this hierarchy for
-        every item over the closed node set.
-        """
-        node_set = self.downward_closure(values)
-        rank = self._order()[1]
-        order: List[str] = sorted(node_set, key=rank.__getitem__)
-        nodes: List[Tuple[str, List[str], bool]] = []
-        for node in order:
-            if node == self.root:
-                continue
-            parents = [p for p in self._parents[node] if p in node_set]
-            nodes.append((node, parents, node in self._instances))
-        prefs = [
-            (weaker, stronger)
-            for weaker, stronger in self.preference_edges()
-            if weaker in node_set and stronger in node_set
-        ]
-        # Meet-table slice: entries whose endpoints lie in the closure.
-        # Their members are common descendants, hence in the closure
-        # too, and maximality is preserved (the closure is downward
-        # closed), so each entry is valid verbatim in the subgraph.
-        # The slice is a warm-start hint, not a correctness requirement
-        # (the rebuilt graph recomputes meets lazily), so it is capped,
-        # and a *cold* mask cache is never forced just to look for one:
-        # a cache left hot by a prior full-hierarchy sweep can hold
-        # millions of entries, and scanning or shipping them would cost
-        # more than the workers' own meet computation saves.
-        meets: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        if self._cache_version == self._version:
-            meets_table = self._cache["meets"]
-            cap = 4 * len(node_set)
-            if len(meets_table) <= 16 * max(1, len(node_set)):  # type: ignore[arg-type]
-                for key, value in meets_table.items():  # type: ignore[union-attr]
-                    if key[0] in node_set and key[1] in node_set:
-                        meets[key] = value
-                        if len(meets) >= cap:
-                            break
-        return {
-            "name": self.name,
-            "root": self.root,
-            "has_root": self.root in node_set,
-            "nodes": nodes,
-            "prefs": prefs,
-            "meets": list(meets.items()),
-        }
-
     @classmethod
     def from_node_table(
         cls,
@@ -714,15 +657,16 @@ class Hierarchy:
         nodes: Iterable[Tuple[str, Sequence[str], bool]],
         prefs: Iterable[Tuple[str, str]] = (),
     ) -> "Hierarchy":
-        """Bulk-load an already-validated node table.
+        """Bulk-load an already-validated node table (binary snapshot
+        recovery).
 
         ``nodes`` is ``(name, parents, is_instance)`` triples in an
         order where parents precede children (insertion or topological
         order both qualify); a node with no listed parents hangs under
         the root.  The per-node API checks in :meth:`_add_node` are
-        skipped — callers (subgraph shipping, binary snapshot recovery)
-        serialised a graph that already holds the invariants — and no
-        cache is touched, so loading stays linear in the table size.
+        skipped — the snapshot serialised a graph that already holds the
+        invariants — and no cache is touched, so loading stays linear in
+        the table size.
         """
         hierarchy = cls(name, root=root)
         children = hierarchy._children
@@ -742,34 +686,6 @@ class Hierarchy:
         for weaker, stronger in prefs:
             hierarchy.add_preference_edge(weaker, stronger)
         return hierarchy
-
-    @classmethod
-    def from_subgraph_payload(cls, payload: Dict[str, object]) -> "Hierarchy":
-        """Rebuild the sub-hierarchy described by
-        :meth:`subgraph_payload`.  When the original root was outside
-        the closure, a node with the root's *name* still caps the
-        graph (it subsumes exactly what the original root subsumes,
-        restricted to the closure), so items and selection cones that
-        mention the root keep validating."""
-        hierarchy = cls.from_node_table(
-            str(payload["name"]),
-            str(payload["root"]),
-            payload["nodes"],  # type: ignore[arg-type]
-            prefs=payload["prefs"],  # type: ignore[arg-type]
-        )
-        hierarchy.preload_meets(payload.get("meets", ()))  # type: ignore[arg-type]
-        return hierarchy
-
-    def preload_meets(
-        self, entries: Iterable[Tuple[Tuple[str, str], Tuple[str, ...]]]
-    ) -> None:
-        """Seed the lazy meet table with precomputed entries (a shipped
-        meet-table slice).  Entries must be valid for the *current*
-        graph; they are discarded with the rest of the cache on the next
-        mutation, like any other memoised meet."""
-        table: Dict[Tuple[str, str], Tuple[str, ...]] = self._masks()["meets"]  # type: ignore[assignment]
-        for key, value in entries:
-            table[tuple(key)] = tuple(value)
 
     def __repr__(self) -> str:
         return "Hierarchy({!r}, {} nodes, {} edges)".format(
@@ -810,7 +726,7 @@ class Hierarchy:
     def _order(self) -> Tuple[List[str], Dict[str, int], Dict[str, int]]:
         """``(order, rank, insertion_rank)`` — the linear slice of the
         cache.  Separate from :meth:`_masks` so order-only consumers
-        (sort keys, the parallel planner, payload extraction) never pay
+        (sort keys, cone walks) never pay
         for the quadratic bitset build."""
         if self._order_version == self._version:
             return self._order_cache

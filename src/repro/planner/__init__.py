@@ -10,8 +10,8 @@ those choices in one priced model fed by per-relation statistics:
   distinct-value multisets and cone-coverage estimates, patched
   incrementally from the relations' delta logs;
 * :mod:`repro.planner.cost` — the decisions: symmetric n-ary combine
-  ordering (with short-circuit evaluation in the pointwise engine),
-  the parallel dispatch gate and query-cache admission — plus the
+  ordering (with short-circuit evaluation in the pointwise engine)
+  and query-cache admission — plus the
   estimated-vs-actual feedback loop EXPLAIN audits;
 * :mod:`repro.planner.config` — the calibration constants.
 
@@ -29,7 +29,6 @@ from repro.planner.cost import (
     describe,
     estimate_candidates,
     observe_estimate,
-    parallel_gate,
     plan_combine,
     reset_feedback,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "describe",
     "estimate_candidates",
     "observe_estimate",
-    "parallel_gate",
     "plan_combine",
     "reset_feedback",
     "RelationStats",

@@ -25,13 +25,6 @@ class PlannerConfig:
         Smallest n-ary combine worth planning.  Binary operators gain
         nothing from reordering (the short-circuit saves at most one
         probe) and run hot, so they skip the planner entirely.
-    truth_call_us:
-        Priced cost of one ``evaluator.truth(item)`` probe.
-    ship_tuple_us:
-        Priced cost of pickling + routing one tuple to a worker shard.
-    dispatch_ms:
-        Priced fixed cost of one parallel dispatch (task build, pool
-        round-trip, merge).
     cache_min_cost_ms:
         A query cheaper than this produced its answer in about the time
         a cache lookup + payload copy takes — storing it can only evict
@@ -43,9 +36,6 @@ class PlannerConfig:
     """
 
     min_inputs: int = 3
-    truth_call_us: float = 2.0
-    ship_tuple_us: float = 0.5
-    dispatch_ms: float = 6.0
     cache_min_cost_ms: float = 0.05
     cache_pin_cost_ms: float = 1.0
 

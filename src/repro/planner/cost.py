@@ -14,10 +14,6 @@ carries its own magic threshold.  The decisions:
   of truth probes per candidate changes — which is what makes the
   reorder bit-identity-safe under every preemption strategy.
   ``andnot`` is not symmetric and is never reordered.
-* **parallel gate** (:func:`parallel_gate`) — dispatch to worker
-  shards iff the priced serial evaluation exceeds the priced dispatch +
-  shipping overhead.  ``min_tuples=0`` bypasses the gate (tests rely on
-  it).
 * **cache admission** (:class:`CacheAdmission`) — under eviction
   pressure, reject payloads cheaper to recompute than to look up, and
   pin hot expensive entries against eviction.
@@ -32,7 +28,7 @@ compounding.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import default_registry
 
@@ -137,30 +133,6 @@ def estimate_candidates(relations: Sequence, op: str = "pointwise") -> int:
 
 
 # ----------------------------------------------------------------------
-# gates
-# ----------------------------------------------------------------------
-
-
-def parallel_gate(total: int, inputs: int) -> Tuple[bool, str]:
-    """Is a parallel dispatch worth it?  Serial cost is priced as one
-    truth probe per (candidate, input); parallel overhead as the fixed
-    dispatch cost plus shipping each routed tuple once.  Returns
-    ``(go, reason)`` — the reason string lands in ``Plan.describe()``
-    and therefore in EXPLAIN."""
-    cfg = config()
-    serial_us = total * max(1, inputs) * cfg.truth_call_us
-    overhead_us = cfg.dispatch_ms * 1e3 + total * cfg.ship_tuple_us
-    registry = default_registry()
-    if serial_us > overhead_us:
-        registry.counter("planner.parallel.grants").inc()
-        return True, ""
-    registry.counter("planner.parallel.declines").inc()
-    return False, "below cost gate (serial ~{:.1f}us < overhead ~{:.1f}us)".format(
-        serial_us, overhead_us
-    )
-
-
-# ----------------------------------------------------------------------
 # cache admission
 # ----------------------------------------------------------------------
 
@@ -226,8 +198,6 @@ def describe() -> Dict[str, object]:
         "cache_pin_cost_ms": cfg.cache_pin_cost_ms,
         "reorders": registry.counter("planner.reorders").value,
         "combine_plans": registry.counter("planner.combine.plans").value,
-        "parallel_grants": registry.counter("planner.parallel.grants").value,
-        "parallel_declines": registry.counter("planner.parallel.declines").value,
         "estimate_checks": registry.counter("planner.estimate.checks").value,
         "estimate_off10x": registry.counter("planner.estimate.off10x").value,
         "corrections": corrections,

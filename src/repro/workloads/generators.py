@@ -157,134 +157,3 @@ def membership_workload(
     rng.shuffle(instances)
     return hierarchy, relation, instances
 
-
-def cone_workload(
-    cones: int,
-    instances_per_cone: int,
-    negative_ratio: float = 0.25,
-    seed: int = 0,
-) -> Tuple[Hierarchy, HRelation, HRelation]:
-    """The shard-parallel workload: ``cones`` disjoint classes under the
-    root, each with ``instances_per_cone`` instances, and two unary
-    relations splitting the instances of every cone between them.
-
-    Each relation asserts the cone class positively in half the cones
-    and sprinkles instance-level negatives (exceptions) at the given
-    ratio, so the tuples are consistent under off-path preemption and
-    every cone carries mixed signs.  Cone partitioning decomposes this
-    into exactly ``cones`` independent groups.
-
-    Returns ``(hierarchy, left, right)``; ``len(left) + len(right) ==
-    cones * (instances_per_cone + 1)``.
-    """
-    rng = random.Random(seed)
-    hierarchy = Hierarchy("cones")
-    for c in range(cones):
-        klass = "c{}".format(c)
-        hierarchy.add_class(klass)
-        for i in range(instances_per_cone):
-            hierarchy.add_instance("c{}i{}".format(c, i), parents=[klass])
-    schema = RelationSchema([("value", hierarchy)])
-    left = HRelation(schema, name="left")
-    right = HRelation(schema, name="right")
-    for c in range(cones):
-        klass = "c{}".format(c)
-        owner, other = (left, right) if c % 2 == 0 else (right, left)
-        owner.assert_item((klass,), truth=True)
-        for i in range(instances_per_cone):
-            instance = "c{}i{}".format(c, i)
-            target = owner if i % 2 == 0 else other
-            # Exceptions only under the cone-owning relation's class
-            # tuple; the other relation's tuples are plain positives.
-            if target is owner and rng.random() < negative_ratio:
-                target.assert_item((instance,), truth=False)
-            else:
-                target.assert_item((instance,), truth=True)
-    return hierarchy, left, right
-
-
-def skewed_combine_workload(
-    cones: int,
-    instances_per_cone: int,
-    inputs: int,
-    pool_size: int | None = None,
-    assert_probability: float = 0.4,
-    seed: int = 0,
-) -> Tuple[Hierarchy, List[HRelation]]:
-    """The planner workload: one *broad* relation asserting every cone
-    class (its cones cover the whole domain) plus ``inputs - 1``
-    *narrow* same-schema relations, each holding a random
-    ``assert_probability`` sample of a shared instance pool.
-
-    Relations come back narrow-first, broad *last* — the pessimal
-    syntax order for an OR-combine, where left-to-right evaluation
-    probes every narrow input at every candidate before reaching the
-    one input that almost always answers true.  Statistics-driven
-    reordering puts the broad relation first and each candidate
-    short-circuits there instead.  All tuples are positive, so the
-    inputs are trivially consistent and the combine is conflict-free
-    under every preemption strategy.
-
-    Returns ``(hierarchy, relations)``.
-    """
-    rng = random.Random(seed)
-    hierarchy = Hierarchy("skew")
-    instances: List[str] = []
-    for c in range(cones):
-        klass = "c{}".format(c)
-        hierarchy.add_class(klass)
-        for i in range(instances_per_cone):
-            name = "c{}i{}".format(c, i)
-            hierarchy.add_instance(name, parents=[klass])
-            instances.append(name)
-    if pool_size is None:
-        pool_size = max(1, len(instances) // 3)
-    pool = rng.sample(instances, min(pool_size, len(instances)))
-    schema = RelationSchema([("value", hierarchy)])
-    relations = []
-    for k in range(max(0, inputs - 1)):
-        narrow = HRelation(schema, name="narrow{}".format(k))
-        for name in pool:
-            if rng.random() < assert_probability:
-                narrow.assert_item((name,), truth=True)
-        relations.append(narrow)
-    broad = HRelation(schema, name="broad")
-    for c in range(cones):
-        broad.assert_item(("c{}".format(c),), truth=True)
-    relations.append(broad)
-    return hierarchy, relations
-
-
-def cone_join_workload(
-    cones: int, instances_per_cone: int, seed: int = 0
-) -> Tuple[HRelation, HRelation]:
-    """Two binary relations sharing attribute ``b`` over one cone-star
-    hierarchy, shaped so the natural join decomposes by cone pair:
-    ``left(a, b)`` pairs cone ``2k`` with cone ``2k+1`` and ``right(b,
-    c)`` answers back, with instance-level tuples inside the same
-    pairs."""
-    rng = random.Random(seed)
-    hierarchy = Hierarchy("jcones")
-    for c in range(cones):
-        klass = "c{}".format(c)
-        hierarchy.add_class(klass)
-        for i in range(instances_per_cone):
-            hierarchy.add_instance("c{}i{}".format(c, i), parents=[klass])
-    left = HRelation(
-        RelationSchema([("a", hierarchy), ("b", hierarchy)]), name="jleft"
-    )
-    right = HRelation(
-        RelationSchema([("b", hierarchy), ("c", hierarchy)]), name="jright"
-    )
-    for k in range(cones // 2):
-        a, b = "c{}".format(2 * k), "c{}".format(2 * k + 1)
-        left.assert_item((a, b), truth=True)
-        right.assert_item((b, a), truth=True)
-        for i in range(instances_per_cone):
-            ai = "{}i{}".format(a, i)
-            bi = "{}i{}".format(b, rng.randrange(instances_per_cone))
-            if i % 2 == 0:
-                left.assert_item((ai, bi), truth=True)
-            else:
-                right.assert_item((bi, ai), truth=True)
-    return left, right

@@ -7,6 +7,7 @@ from repro.flat import algebra as flat_algebra
 from repro.flat import from_hrelation
 from repro.core import (
     HRelation,
+    RelationSchema,
     difference,
     intersection,
     join,
@@ -16,6 +17,8 @@ from repro.core import (
     union,
 )
 from repro.core.algebra import combine, meet_closure
+from repro.core.preemption import STRATEGIES
+from repro.hierarchy import Hierarchy
 
 
 def flat_rows(relation):
@@ -271,3 +274,57 @@ class TestCombine:
         )
         want = flat_rows(loves.jack_loves)
         assert flat_rows(both_and_more) == want
+
+
+#: Positive tuples holding the root as a value, so ``right`` stays
+#: consistent under every strategy however many of them it asserts.
+ROOT_VALUED = [("dom", "c1"), ("c2", "dom"), ("dom", "c3i1"), ("dom", "dom")]
+
+
+def _cone_pairs(strategy, roots=1):
+    """Two binary relations over a star of disjoint cones; ``right`` also
+    asserts the first ``roots`` of ``ROOT_VALUED``."""
+    hierarchy = Hierarchy("dom", root="dom")
+    for c in range(4):
+        hierarchy.add_class("c{}".format(c), parents=["dom"])
+        for i in range(2):
+            hierarchy.add_instance("c{}i{}".format(c, i), parents=["c{}".format(c)])
+    schema = RelationSchema([("a", hierarchy), ("b", hierarchy)])
+    left = HRelation(schema, name="left", strategy=STRATEGIES[strategy])
+    right = HRelation(schema, name="right", strategy=STRATEGIES[strategy])
+    left.assert_item(("c0", "c1"))
+    left.assert_item(("c3i0", "c2i0"), truth=False)
+    left.assert_item(("c2", "c3"))
+    right.assert_item(("c1", "c0"))
+    right.assert_item(("c0i1", "c1i1"))
+    for item in ROOT_VALUED[:roots]:
+        right.assert_item(item)
+    return hierarchy, left, right
+
+
+class TestRootValuedTuples:
+    """A hierarchy root asserted as data binds like any class value."""
+
+    @pytest.mark.parametrize("roots", [1, 2, 4])
+    @pytest.mark.parametrize("strategy", ["off-path", "on-path", "none"])
+    def test_set_operations_match_flat(self, strategy, roots):
+        _, left, right = _cone_pairs(strategy, roots)
+        flat_left, flat_right = from_hrelation(left), from_hrelation(right)
+        for op, flat_op in (
+            (union, flat_algebra.union),
+            (intersection, flat_algebra.intersection),
+            (difference, flat_algebra.difference),
+        ):
+            assert flat_rows(op(left, right)) == flat_op(flat_left, flat_right).rows(), op.__name__
+
+    @pytest.mark.parametrize("strategy", ["off-path", "on-path", "none"])
+    def test_extension_below_a_root_tuple(self, strategy):
+        hierarchy, _, right = _cone_pairs(strategy)
+        rooted = right.copy(name="rooted")
+        rooted.clear()
+        rooted.assert_item(("dom", "dom"))
+        rooted.assert_item(("c0", "c1"))
+        leaves = hierarchy.leaves()
+        atoms = list(rooted.extension())
+        assert len(atoms) == len(set(atoms))
+        assert set(atoms) == {(a, b) for a in leaves for b in leaves}

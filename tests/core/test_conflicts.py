@@ -1,14 +1,17 @@
 """Unit tests for conflict detection and resolution sets (section 3.1)."""
 
+import pytest
 
 from repro.core import (
     HRelation,
+    RelationSchema,
     complete_resolution_set,
     find_conflicts,
     is_consistent,
     minimal_resolution_set,
 )
 from repro.core.conflicts import conflict_candidates, resolution_tuples
+from repro.core.preemption import STRATEGIES
 from repro.hierarchy import Hierarchy
 from tests.conftest import make_relation
 
@@ -170,3 +173,40 @@ class TestResolutionTuples:
             unresolved.assert_item(t.item, truth=t.truth)
         assert is_consistent(unresolved)
         assert not unresolved.truth_of(("john", "bill"))
+
+
+class TestCrosswiseConflicts:
+    """Incomparable opposite-sign binders over cone pairs of a binary
+    relation: one conflict per pair, at the meet neither tuple asserts."""
+
+    def _relation(self, strategy, pairs):
+        hierarchy = Hierarchy("dom", root="dom")
+        for c in range(2 * pairs):
+            hierarchy.add_class("c{}".format(c), parents=["dom"])
+            hierarchy.add_instance("c{}i".format(c), parents=["c{}".format(c)])
+            hierarchy.add_class("c{}x".format(c), parents=["c{}".format(c)])
+            hierarchy.add_instance("c{}xi".format(c), parents=["c{}x".format(c)])
+        relation = HRelation(
+            RelationSchema([("a", hierarchy), ("b", hierarchy)]),
+            name="noisy",
+            strategy=STRATEGIES[strategy],
+        )
+        for k in range(pairs):
+            a, b = "c{}".format(2 * k), "c{}".format(2 * k + 1)
+            relation.assert_item((a, b), truth=True)
+            relation.assert_item((a, b + "x"), truth=True)
+            relation.assert_item((a + "x", b), truth=False)
+        return relation
+
+    @pytest.mark.parametrize("pairs", [1, 2, 4])
+    @pytest.mark.parametrize("strategy", ["off-path", "on-path", "none"])
+    def test_one_conflict_per_cone_pair(self, strategy, pairs):
+        relation = self._relation(strategy, pairs)
+        conflicts = find_conflicts(relation)
+        assert [c.item for c in conflicts] == [
+            ("c{}x".format(2 * k), "c{}x".format(2 * k + 1)) for k in range(pairs)
+        ]
+        exhaustive = {c.item for c in find_conflicts(relation, exhaustive=True)}
+        for conflict in conflicts:
+            assert conflict.item in exhaustive
+            assert conflict.positive and conflict.negative

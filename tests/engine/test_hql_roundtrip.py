@@ -72,6 +72,14 @@ def test_roundtrip(statement):
     assert parse(to_hql(statement)) == [statement]
 
 
+def test_set_parses_and_round_trips():
+    # SET keeps its grammar although no option is accepted at execution.
+    statement = parse("set frobnicate 4;")[0]
+    assert statement == ast.Set(option="FROBNICATE", value="4")
+    assert parse(to_hql(statement)) == [statement]
+    assert not isinstance(statement, ast.MUTATING)  # never journalled
+
+
 def test_quoting_of_odd_names():
     statement = ast.Assert("my relation", ("a value", "plain"), truth=True)
     assert parse(to_hql(statement)) == [statement]

@@ -58,21 +58,6 @@ def test_plan_combine_declines_when_it_must():
     assert planner.plan_combine([narrow, medium, broad], None) is None
 
 
-def test_parallel_gate_prices_the_dispatch():
-    go, reason = planner.parallel_gate(100, 2)
-    assert not go and "cost gate" in reason
-    go, reason = planner.parallel_gate(100_000, 4)
-    assert go and reason == ""
-
-
-def test_parallel_gate_crossover_near_legacy_threshold():
-    # The calibration constants put the 2-input crossover in the same
-    # regime as the old REPRO_PARALLEL_MIN_TUPLES=2048 constant.
-    cfg = planner.config()
-    crossover = cfg.dispatch_ms * 1e3 / (2 * cfg.truth_call_us - cfg.ship_tuple_us)
-    assert 500 <= crossover <= 5000
-
-
 def test_estimate_feedback_corrects_bias():
     narrow, medium, broad = _workload()
     raw = planner.estimate_candidates([narrow, medium, broad], op="testop")
@@ -119,9 +104,9 @@ def test_describe_reports_counters():
     state = planner.describe()
     assert "enabled" not in state
     assert set(state) >= {
-        "reorders", "combine_plans", "parallel_grants",
-        "parallel_declines", "estimate_checks", "corrections",
+        "reorders", "combine_plans", "estimate_checks", "corrections",
     }
+    assert not {"parallel_grants", "parallel_declines"} & set(state)
 
 
 def test_configure_rejects_unknown_keys():

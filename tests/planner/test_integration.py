@@ -30,11 +30,13 @@ def executor():
 
 
 def test_set_planner_is_rejected(executor):
-    # The planner is the only implementation of its decisions: there is
-    # no switch, and the statement fails like any unknown option.
-    with pytest.raises(HQLError, match="unknown SET option 'PLANNER'"):
-        executor.run("SET PLANNER OFF;")
-    assert executor.run("TRUTH likes (c0i, c1i);")[0].payload is True
+    # The planner is the only implementation of its decisions and serial
+    # execution the only execution path: there is no switch for either,
+    # and each statement fails like any unknown option.
+    for statement, option in (("SET PLANNER OFF;", "PLANNER"), ("SET PARALLEL 2;", "PARALLEL")):
+        with pytest.raises(HQLError, match="unknown SET option '{}'".format(option)):
+            executor.run(statement)
+        assert executor.run("TRUTH likes (c0i, c1i);")[0].payload is True
 
 
 def test_stats_reports_planner_state(executor):
@@ -51,15 +53,7 @@ def test_explain_carries_estimate_line(executor):
 
 
 def test_explain_analyze_compares_estimates(executor):
-    from repro import parallel
-
-    # The est-vs-actual rows hang off the serial pointwise span; pin the
-    # serial path so a REPRO_PARALLEL=2 run doesn't shard past it.
-    parallel.configure(workers=0)
-    try:
-        message = executor.run("EXPLAIN ANALYZE UNION likes WITH likes;")[0].message
-    finally:
-        parallel.reset()
+    message = executor.run("EXPLAIN ANALYZE UNION likes WITH likes;")[0].message
     assert "estimates (est vs actual rows):" in message
     assert "algebra.pointwise: estimated" in message
 

@@ -119,11 +119,12 @@ class TestErrors:
         with HQLClient(port=live_port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             session = client.session_id
-            with pytest.raises(RemoteError, match="unknown SET option") as excinfo:
-                client.execute("SET PLANNER OFF;")
-            assert excinfo.value.remote_type == "HQLError"
-            assert client.truth("flies", ["tweety"]) is True
-            assert client.session_id == session  # no reconnect happened
+            for statement in ("SET PLANNER OFF;", "SET PARALLEL 2;"):
+                with pytest.raises(RemoteError, match="unknown SET option") as excinfo:
+                    client.execute(statement)
+                assert excinfo.value.remote_type == "HQLError"
+                assert client.truth("flies", ["tweety"]) is True
+                assert client.session_id == session  # no reconnect happened
 
     def test_query_requires_single_statement(self, live_port):
         with HQLClient(port=live_port, wire_format=self.wire_format) as client:

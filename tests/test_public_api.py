@@ -29,13 +29,17 @@ class TestSurface:
 
 class TestNoKnobComesBack:
     def test_environment_switches_and_planner_exports(self):
-        """One gate per decision: the only environment the package reads
-        is the parallel layer's, and the planner has no off switch and
-        no constant-answer gates."""
+        """One gate per decision: the package reads no environment
+        variable, there is no parallel layer to switch on, and the
+        planner has no off switch and no constant-answer gates."""
         import ast
+        import importlib
         import pathlib
 
+        import pytest
+
         import repro.planner
+        from repro.cli import _build_parser
 
         names = set()
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
@@ -51,15 +55,15 @@ class TestNoKnobComesBack:
                     and node.value.startswith("REPRO_")
                 ):
                     names.add(node.value)
-        assert names == {
-            "REPRO_PARALLEL",
-            "REPRO_PARALLEL_MIN_TUPLES",
-            "REPRO_PARALLEL_FANOUT",
-            "REPRO_PARALLEL_START",
-        }
-        assert not {"enabled", "choose_join_mode", "consolidation_mode"} & set(
-            repro.planner.__all__
-        )
+        assert names == set()
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")
+        with pytest.raises(SystemExit):  # argparse: unrecognized arguments
+            _build_parser().parse_args(["serve", "--workers", "2"])
+        assert not hasattr(repro.planner, "parallel_gate")
+        assert not {
+            "enabled", "choose_join_mode", "consolidation_mode", "parallel_gate"
+        } & set(repro.planner.__all__)
 
     def test_one_binding_engine(self):
         """Every truth question reads the relation's evaluator: no second
