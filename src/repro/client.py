@@ -40,8 +40,8 @@ from repro.errors import (
 from repro.server import protocol
 
 #: Statement classes that read without mutating — safe to serve from a
-#: follower.  Everything else (DDL/DML, transaction control, LOAD/SAVE,
-#: SET) routes to the leader.
+#: follower.  Everything else (DDL/DML, transaction control, LOAD/SAVE)
+#: routes to the leader.
 _READ_STATEMENTS: Optional[tuple] = None
 
 

@@ -65,7 +65,6 @@ from repro.errors import InconsistentRelationError, SchemaError
 from repro.hierarchy.product import Item, ProductHierarchy
 from repro.obs import default_registry
 from repro.obs import span as _span
-from repro.obs import trace as _trace
 
 
 def _count(op: str) -> None:
@@ -120,9 +119,10 @@ def pointwise_sweep(
     evaluators in topological order.  With ``consolidate`` on a
     normal-form product, consolidation is *fused* into the sweep: a
     candidate whose truth matches all of its minimal already-kept
-    subsumers is never emitted (the fused/two-step choice rides the
-    planner's shared cost model).  Otherwise every candidate is emitted
-    and the caller consolidates.
+    subsumers is never emitted.  Fusing is a soundness predicate, not a
+    priced choice: the mask sweep is exact only when the product needs
+    no elimination binding.  Otherwise every candidate is emitted and
+    the caller consolidates.
 
     ``shortcircuit`` (``"or"`` / ``"and"``) stops probing a candidate's
     evaluators at the first truth that settles the function value —
@@ -183,7 +183,6 @@ def _pointwise(
     consolidate: bool,
     capture: Optional[Dict] = None,
     shortcircuit: Optional[str] = None,
-    est_candidates: Optional[int] = None,
 ) -> HRelation:
     """The bitset-native pointwise engine every operator rides: one
     :func:`pointwise_sweep`, stored through the trusted bulk-load path
@@ -193,17 +192,12 @@ def _pointwise(
     see yet).  Non-normal-form products then run the literal
     consolidation procedure.
 
-    ``shortcircuit`` is set by the planner for symmetric combining
-    functions.  The candidate set, every emitted truth and the emission
-    order are exactly those of the exhaustive loop, so results stay
-    bit-identical; only conflict *detection* narrows, to the probes
-    actually made (the documented precondition — consistent inputs — is
-    unaffected).
-
-    ``est_candidates`` is the planner's pre-evaluation candidate
-    estimate: recorded on the span next to the actual count (EXPLAIN
-    ANALYZE renders the pair) and fed back into the estimate
-    corrections.
+    ``shortcircuit`` is set by :func:`combine` for symmetric combining
+    functions over three or more inputs.  The candidate set, every
+    emitted truth and the emission order are exactly those of the
+    exhaustive loop, so results stay bit-identical; only conflict
+    *detection* narrows, to the probes actually made (the documented
+    precondition — consistent inputs — is unaffected).
 
     ``capture``, when a dict, receives the full pre-consolidation
     ``candidates`` / ``truths`` lists — the state the delta-refresh
@@ -219,13 +213,6 @@ def _pointwise(
             hierarchy_sweeps=sweep.hierarchy_sweeps,
             fused=sweep.fused,
         )
-        if est_candidates is not None:
-            from repro import planner as _planner
-
-            sp.annotate(est_candidates=est_candidates)
-            _planner.observe_estimate(
-                "pointwise", est_candidates, len(sweep.candidates)
-            )
         if capture is not None:
             capture["candidates"] = sweep.candidates
             capture["truths"] = sweep.truths
@@ -237,6 +224,14 @@ def _pointwise(
             out = _consolidate(out, name=name)
         sp.annotate(tuples_out=len(out))
         return out
+
+
+#: Symmetric combining-function tokens and the truth that settles them
+#: ("or": stop at the first true; "and": stop at the first false).
+#: Applied only to three or more inputs: a binary operator probes both,
+#: so a conflict in either input still raises.  ``andnot`` is
+#: order-sensitive and absent on purpose.
+_SHORTCIRCUIT: Dict[str, str] = {"or": "or", "any": "or", "and": "and", "all": "and"}
 
 
 def combine(
@@ -256,12 +251,11 @@ def combine(
     conflict in any input.
 
     ``fn_token`` optionally names ``fn`` (``"or"``, ``"and"``,
-    ``"andnot"``, ``"any"``, ``"all"``).  A symmetric one
-    (``or``/``and``/``any``/``all``) lets n-ary evaluation be *reordered*
-    by estimated cone coverage and short-circuited per candidate (see
-    :func:`repro.planner.plan_combine`); ``andnot`` and anonymous
-    callables always evaluate left-to-right.  The result is identical
-    either way — only the probe count per candidate changes.
+    ``"andnot"``, ``"any"``, ``"all"``).  A symmetric one over three or
+    more inputs is short-circuited per candidate, in input order (see
+    :data:`_SHORTCIRCUIT`); binary operators, ``andnot`` and anonymous
+    callables probe every input.  The result is identical either way —
+    only the probe count per candidate changes.
     """
     if not relations:
         raise SchemaError("combine needs at least one relation")
@@ -281,27 +275,14 @@ def combine(
         "algebra.combine",
         inputs=len(relations),
         tuples_in=sum(len(r) for r in relations),
-    ) as sp:
-        from repro import planner as _planner
-
+    ):
         # One bulk evaluator per input: the candidate set is evaluated
         # set-at-a-time instead of re-deriving a binding per (item, input).
         evaluators = [_bulk.evaluator_for(relation) for relation in relations]
-        shortcircuit = None
-        combine_plan = _planner.plan_combine(relations, fn_token)
-        if combine_plan is not None:
-            evaluators = [evaluators[i] for i in combine_plan.order]
-            shortcircuit = combine_plan.shortcircuit
-            sp.annotate(planner_order="reordered" if combine_plan.reordered else "kept")
-        est_candidates = None
-        if _trace.enabled():
-            # Estimates are only priced out when someone is watching
-            # (EXPLAIN ANALYZE, slow-query tracing): the untraced hot
-            # path pays nothing for auditability it cannot render.
-            est_candidates = _planner.estimate_candidates(relations)
+        shortcircuit = _SHORTCIRCUIT.get(fn_token) if len(relations) >= 3 else None
         return _pointwise(
             schema, relations[0].strategy, evaluators, fn, name, seeds, consolidate,
-            capture=capture, shortcircuit=shortcircuit, est_candidates=est_candidates,
+            capture=capture, shortcircuit=shortcircuit,
         )
 
 

@@ -230,16 +230,6 @@ class Stats(Statement):
     engine metrics plus the process-global core-layer registry)."""
 
 
-@dataclass(frozen=True)
-class Set(Statement):
-    """SET <option> <value>; — parsed and round-tripped, but no option
-    is accepted: executing one raises ``unknown SET option``.  Not a
-    mutating statement, so the operation log skips it."""
-
-    option: str
-    value: str
-
-
 def _quote(name: str) -> str:
     """Quote a name for HQL output when it is not a bare identifier."""
     if name and all(ch.isalnum() or ch in "_-." for ch in name):
@@ -392,8 +382,6 @@ def to_hql(statement: Statement) -> str:
         ) + to_hql(statement.inner)
     if isinstance(statement, Stats):
         return "STATS;"
-    if isinstance(statement, Set):
-        return "SET {} {};".format(statement.option, _quote(statement.value))
     raise TypeError("no HQL rendering for {}".format(type(statement).__name__))
 
 

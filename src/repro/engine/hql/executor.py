@@ -633,20 +633,6 @@ class HQLExecutor:
                     len(closure), len(seeds)
                 )
             )
-            from repro import planner as _planner
-
-            estimated = _planner.estimate_candidates(inputs)
-            actual = len(closure)
-            ratio = estimated / actual if actual else float("inf")
-            flag = " [off by >10x]" if ratio > 10 or ratio < 0.1 else ""
-            lines.append(
-                "  estimate: ~{} candidate row(s), actual {}{}".format(
-                    estimated, actual, flag
-                )
-            )
-            # Feed the miss back so the EWMA correction learns from
-            # EXPLAIN runs exactly like from traced executions.
-            _planner.observe_estimate("pointwise", estimated, actual)
         else:
             lines.append("  meet-closure candidates: over the merged schema")
             if isinstance(inner, ast.BinaryOp) and inner.op == "JOIN":
@@ -697,30 +683,9 @@ class HQLExecutor:
         if stmt.analyze and root is not None:
             lines.append("  analyze:")
             lines.extend(render_span_tree(root, indent="    "))
-            estimate_lines = []
-            for span in root.walk():
-                estimated = span.attrs.get("est_candidates")
-                actual = span.attrs.get("candidates")
-                if estimated is None or actual is None:
-                    continue
-                ratio = estimated / actual if actual else float("inf")
-                flag = " [off by >10x]" if ratio > 10 or ratio < 0.1 else ""
-                estimate_lines.append(
-                    "    {}: estimated {} row(s), actual {}{}".format(
-                        span.name, estimated, actual, flag
-                    )
-                )
-            if estimate_lines:
-                lines.append("  estimates (est vs actual rows):")
-                lines.extend(estimate_lines)
         plan = Result(kind="plan", payload=result, message="\n".join(lines))
         plan.elapsed_ms = elapsed_ms
         return plan
-
-    def _exec_set(self, stmt: ast.Set) -> Result:
-        """SET <option> <value>; parses, but no option is accepted: there
-        is no per-process execution knob for one session to flip."""
-        raise HQLError("unknown SET option {!r}".format(stmt.option))
 
     def _exec_stats(self, stmt: ast.Stats) -> Result:
         """STATS; — one table over both registries: the database's
@@ -734,13 +699,10 @@ class HQLExecutor:
         cache = self._query_cache()
         if cache is not None:
             rows.append(("querycache.hit_rate", "{:.3f}".format(cache.hit_rate)))
-        from repro import planner
-
         rows.sort()
         payload = {
             "engine": metrics.snapshot() if metrics is not None else {},
             "core": default_registry().snapshot(),
-            "planner": planner.describe(),
         }
         return Result(
             kind="stats",

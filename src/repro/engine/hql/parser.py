@@ -153,7 +153,6 @@ class _Parser:
             "LOAD": self._load,
             "EXPLAIN": self._explain,
             "STATS": self._stats,
-            "SET": self._set,
             "SHOW": self._show,
             "BEGIN": self._begin,
             "COMMIT": self._commit,
@@ -400,11 +399,6 @@ class _Parser:
     def _stats(self) -> ast.Statement:
         self._expect_keyword("STATS")
         return ast.Stats()
-
-    def _set(self) -> ast.Statement:
-        self._expect_keyword("SET")
-        option = self._name().upper()
-        return ast.Set(option=option, value=self._name())
 
 
 def parse(text: str) -> List[ast.Statement]:

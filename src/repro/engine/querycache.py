@@ -26,16 +26,16 @@ copies and served as copies, so a caller mutating a result can never
 corrupt the cache.  The store is LRU-bounded and keeps hit/miss/evict
 counters; EXPLAIN surfaces the per-statement ``cache: hit|miss`` status.
 
-Admission is cost-aware (:class:`repro.planner.CacheAdmission`, reading
-the cache's registry).  While the store has free space every payload
-is admitted — caching a cheap result costs nothing then.  Under
-eviction pressure the policy earns its keep: a payload whose compute
-cost is below the admission floor is *rejected* (counted under
-``querycache.rejected``) instead of evicting something, and eviction
-scans pass over *pinned* entries — hot (hit at least once) and
-expensive ones — while any unpinned victim exists.  Cheap-query churn
-therefore stops flushing the entries that are actually worth keeping.
-A payload put without ``cost_ms`` is always admitted and never pinned.
+Admission is cost-aware (:class:`CacheAdmission`, reading the cache's
+registry).  While the store has free space every payload is admitted —
+caching a cheap result costs nothing then.  Under eviction pressure
+the policy earns its keep: a payload whose compute cost is below the
+admission floor is *rejected* (counted under ``querycache.rejected``)
+instead of evicting something, and eviction scans pass over *pinned*
+entries — hot (hit at least once) and expensive ones — while any
+unpinned victim exists.  Cheap-query churn therefore stops flushing
+the entries that are actually worth keeping.  A payload put without
+``cost_ms`` is always admitted and never pinned.
 """
 
 from __future__ import annotations
@@ -45,10 +45,55 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import MetricsRegistry
-from repro.planner import CacheAdmission
 
 MISS = object()
 """Sentinel distinguishing "no entry" from a cached falsy payload."""
+
+#: A query cheaper than this produced its answer in about the time a
+#: cache lookup + payload copy takes: storing it under eviction
+#: pressure can only evict something more valuable.
+ADMIT_FLOOR_MS = 0.05
+#: An entry at least this expensive that has also *hit* at least once
+#: is pinned: eviction passes over it while any unpinned victim exists.
+PIN_COST_MS = 1.0
+
+
+class CacheAdmission:
+    """The query cache's admission + pinning policy.
+
+    ``registry`` is the owning database's metrics registry: the
+    admission floor adapts to the observed ``hql.statement.ms``
+    distribution once enough statements have been timed (a deployment
+    whose cheapest statements take 5 ms should not hoard 0.1 ms
+    entries just because the default floor is lower).  A payload
+    stored without a measured cost fails open: always admitted, never
+    pinned.
+    """
+
+    def __init__(self, registry=None) -> None:
+        self.registry = registry
+
+    def _floor_ms(self) -> float:
+        floor = ADMIT_FLOOR_MS
+        if self.registry is not None:
+            histogram = self.registry.histogram("hql.statement.ms")
+            if histogram.count >= 200:
+                floor = min(max(floor, 0.02 * histogram.mean), 10.0 * floor)
+        return floor
+
+    def admit(self, cost_ms: Optional[float]) -> bool:
+        """Called only under eviction pressure: is this payload worth
+        evicting something for?"""
+        if cost_ms is None:
+            return True
+        return cost_ms >= self._floor_ms()
+
+    def pin(self, cost_ms: Optional[float], hits: int) -> bool:
+        """Hot (hit at least once) *and* expensive entries survive
+        eviction scans while any unpinned victim exists."""
+        if cost_ms is None:
+            return False
+        return hits >= 1 and cost_ms >= PIN_COST_MS
 
 
 def source_stamp(relation) -> Tuple:

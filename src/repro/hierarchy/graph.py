@@ -79,7 +79,7 @@ class Hierarchy:
         self._version = 0
         self._cache_version = -1
         self._cache: Dict[str, object] = {}
-        # Linear caches the planner-side helpers can use without forcing
+        # Linear caches the batch helpers can use without forcing
         # the O(n^2/64) bitset build in :meth:`_masks` (order/rank plus
         # the insertion rank) and the redundancy flag's own cache.
         self._order_version = -1
@@ -509,11 +509,6 @@ class Hierarchy:
         many reachability facts without materialising node sets."""
         self._require(name)
         return self._masks()["desc"][name]  # type: ignore[index]
-
-    def ancestor_mask(self, name: str) -> int:
-        """The ancestor bitset of ``name`` (see :meth:`descendant_mask`)."""
-        self._require(name)
-        return self._masks()["anc"][name]  # type: ignore[index]
 
     def downward_union(self, seed: Dict[str, int]) -> Dict[str, int]:
         """Sweep integer bitmasks down the class graph in one pass.

@@ -8,9 +8,8 @@ cache the handle (hot paths) or look it up per use (cold paths).
 Two registry scopes coexist:
 
 * the **process-global default registry** (:func:`default_registry`)
-  hosts core-layer metrics — ``bulk.*``, ``algebra.*``, ``views.*``,
-  and the cost-based planner's ``planner.*`` family — where no
-  database handle is in reach;
+  hosts core-layer metrics — ``bulk.*``, ``algebra.*``, ``views.*`` —
+  where no database handle is in reach;
 * each ``HierarchicalDatabase`` owns a **per-database registry**
   (``db.metrics``) for engine metrics — ``querycache.*``, ``txn.*``,
   ``hql.*`` — so independent databases (and independent tests) never

@@ -1,12 +1,10 @@
 """Per-relation statistics, maintained incrementally from delta logs.
 
-One :class:`RelationStats` snapshot per relation records the quantities
-every cost decision reads:
+One :class:`RelationStats` snapshot per relation records:
 
 * stored-tuple / positive / negative counts;
 * per-attribute distinct-value multisets (how many stored tuples use
-  each hierarchy value on each position) — the planner's value "masks",
-  in the sparse dict form the overlap heuristics consume;
+  each hierarchy value on each position);
 * ``est_extension`` — the summed leaf count under the positive tuples'
   cones (:meth:`ProductHierarchy.count_leaves_under` per tuple).  It
   overcounts overlapping cones deliberately: as a *coverage* proxy for
@@ -177,53 +175,3 @@ def stats_for(relation) -> RelationStats:
         relation._planner_stats = stats
         return stats
     return stats.refresh()
-
-
-def est_row_bytes(rows, sample: int = 64) -> int:
-    """Estimated serialised bytes per wire row, from a prefix sample.
-
-    Used to auto-size cursor pages against the negotiated frame limit.
-    Rows are the wire shapes the server ships — ``[item, truth]`` pairs
-    or plain value lists — so the estimate is the JSON-ish footprint:
-    string lengths plus a few bytes of per-value punctuation.  Cheap
-    and deliberately rough; page sizing only needs the right order of
-    magnitude.
-    """
-    if not rows:
-        return 1
-    total = 0
-    count = 0
-    for row in rows[:sample]:
-        values = row[0] if (len(row) == 2 and isinstance(row[0], (list, tuple))) else row
-        if isinstance(values, (list, tuple)):
-            total += sum(len(str(v)) for v in values) + 4 * len(values) + 8
-        else:
-            total += len(str(values)) + 8
-        count += 1
-    return max(1, total // count)
-
-
-def overlap_estimate(left: RelationStats, right: RelationStats) -> int:
-    """Estimated meet pairs between two same-schema relations.
-
-    Two tuples can meet only if their values overlap on *every*
-    attribute; shared hierarchy values are the cheap, sweep-free proxy
-    for cone overlap (a value trivially overlaps itself).  Per attribute
-    the overlapping-tuple mass is summed over shared values, and the
-    cross-attribute estimate is the minimum — a pair must survive every
-    attribute, so no attribute can contribute more meets than its own
-    overlap supports.  Nested-but-unequal cones make this an
-    *under*-estimate; the EWMA feedback in :mod:`repro.planner.cost`
-    corrects the aggregate bias.
-    """
-    estimate: Optional[int] = None
-    for left_counts, right_counts in zip(left.value_counts, right.value_counts):
-        if len(right_counts) < len(left_counts):
-            left_counts, right_counts = right_counts, left_counts
-        mass = 0
-        for value, count in left_counts.items():
-            other = right_counts.get(value)
-            if other is not None:
-                mass += min(count, other)
-        estimate = mass if estimate is None else min(estimate, mass)
-    return estimate or 0

@@ -16,8 +16,7 @@ Commands
 ``stats``     JSON snapshots of the per-database registry (``hql.*``,
               ``querycache.*``, ``txn.*``, ``server.*``), the
               process-global core registry (``algebra.*``, ``bulk.*``),
-              the cost-based planner's state (``planner`` block), and
-              server state (sessions, lock, recovery)
+              and server state (sessions, lock, recovery)
 ``metrics``   both registries in Prometheus text exposition format
 ``slowlog``   the slow-query log as JSON (statement, elapsed_ms, span)
 ``sessions``  one row per live connection
@@ -127,7 +126,6 @@ def tenants_payload(server) -> list:
 
 
 def stats_payload(server) -> Dict[str, Any]:
-    from repro import planner
     from repro.server.replication import replication_payload
 
     recovery = server.recovery
@@ -137,7 +135,6 @@ def stats_payload(server) -> Dict[str, Any]:
         "tenants": tenants_payload(server),
         "engine": server.database.metrics.snapshot(),
         "core": default_registry().snapshot(),
-        "planner": planner.describe(),
         "server": {
             "uptime_s": round(time.time() - server.started_at, 3),
             "sessions": len(server.sessions),

@@ -64,7 +64,6 @@ from repro.errors import (
     TenantError,
     UnknownTenantError,
 )
-from repro.planner.stats import est_row_bytes
 from repro.server import admin as admin_mod
 from repro.server import protocol
 from repro.server import replication as replication_mod
@@ -75,6 +74,30 @@ from repro.server.session import Session
 _PAGE_FRAME_FRACTION = 4
 _PAGE_MIN_ROWS = 64
 _PAGE_MAX_ROWS = 100_000
+
+
+def est_row_bytes(rows, sample: int = 64) -> int:
+    """Estimated serialised bytes per wire row, from a prefix sample.
+
+    Used to auto-size cursor pages against the negotiated frame limit.
+    Rows are the wire shapes the server ships — ``[item, truth]`` pairs
+    or plain value lists — so the estimate is the JSON-ish footprint:
+    string lengths plus a few bytes of per-value punctuation.  Cheap
+    and deliberately rough; page sizing only needs the right order of
+    magnitude.
+    """
+    if not rows:
+        return 1
+    total = 0
+    count = 0
+    for row in rows[:sample]:
+        values = row[0] if (len(row) == 2 and isinstance(row[0], (list, tuple))) else row
+        if isinstance(values, (list, tuple)):
+            total += sum(len(str(v)) for v in values) + 4 * len(values) + 8
+        else:
+            total += len(str(values)) + 8
+        count += 1
+    return max(1, total // count)
 
 
 class HQLServer:

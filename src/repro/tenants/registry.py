@@ -2,7 +2,7 @@
 
 One ``repro serve`` process hosts a catalog of *tenants*.  Each tenant
 is an independent :class:`~repro.engine.database.HierarchicalDatabase`
-with its own hierarchies, relations, query cache, planner stats, and
+with its own hierarchies, relations, query cache, and
 per-database metrics registry — nothing is shared between tenants
 except the process, so the same relation or hierarchy name in two
 tenants can never collide.  A durable server additionally gives every

@@ -6,6 +6,7 @@ import pytest
 from repro.engine import HierarchicalDatabase
 from repro.engine.hql import ast, parse
 from repro.engine.hql.ast import to_hql
+from repro.errors import HQLSyntaxError
 
 STATEMENTS = [
     ast.CreateHierarchy("animal"),
@@ -72,12 +73,11 @@ def test_roundtrip(statement):
     assert parse(to_hql(statement)) == [statement]
 
 
-def test_set_parses_and_round_trips():
-    # SET keeps its grammar although no option is accepted at execution.
-    statement = parse("set frobnicate 4;")[0]
-    assert statement == ast.Set(option="FROBNICATE", value="4")
-    assert parse(to_hql(statement)) == [statement]
-    assert not isinstance(statement, ast.MUTATING)  # never journalled
+def test_set_does_not_parse():
+    # There is no execution knob to set, so there is no SET statement.
+    with pytest.raises(HQLSyntaxError, match="unknown statement 'set'"):
+        parse("set frobnicate 4;")
+    assert not hasattr(ast, "Set")
 
 
 def test_quoting_of_odd_names():

@@ -1,5 +1,6 @@
-"""Planner integration: HQL STATS/EXPLAIN and the query cache's
-admission policy under pressure."""
+"""What is left of the planner in HQL: no SET, no planner block in
+STATS, an EXPLAIN that names only the decisions actually taken, and
+the query cache's admission policy under pressure."""
 
 import pytest
 
@@ -30,32 +31,24 @@ def executor():
 
 
 def test_set_planner_is_rejected(executor):
-    # The planner is the only implementation of its decisions and serial
-    # execution the only execution path: there is no switch for either,
-    # and each statement fails like any unknown option.
-    for statement, option in (("SET PLANNER OFF;", "PLANNER"), ("SET PARALLEL 2;", "PARALLEL")):
-        with pytest.raises(HQLError, match="unknown SET option '{}'".format(option)):
+    # There is no execution knob, so there is no SET statement: it fails
+    # at parse time, still as a typed HQL error, and the session survives.
+    for statement in ("SET PLANNER OFF;", "SET PARALLEL 2;"):
+        with pytest.raises(HQLError, match="unknown statement 'SET'"):
             executor.run(statement)
         assert executor.run("TRUTH likes (c0i, c1i);")[0].payload is True
 
 
-def test_stats_reports_planner_state(executor):
-    result = executor.run("STATS;")[0]
-    state = result.payload["planner"]
-    assert "enabled" not in state
-    assert {"min_inputs", "reorders", "combine_plans", "corrections"} <= set(state)
-
-
-def test_explain_carries_estimate_line(executor):
-    message = executor.run("EXPLAIN UNION likes WITH likes;")[0].message
-    assert "estimate: ~" in message
-    assert "actual" in message
-
-
-def test_explain_analyze_compares_estimates(executor):
-    message = executor.run("EXPLAIN ANALYZE UNION likes WITH likes;")[0].message
-    assert "estimates (est vs actual rows):" in message
-    assert "algebra.pointwise: estimated" in message
+def test_explain_names_only_decisions_taken(executor):
+    # Binding path per input, consolidation mode and cache status; no
+    # estimate line, traced or not.
+    for statement in ("EXPLAIN UNION likes WITH likes;", "EXPLAIN ANALYZE INTERSECT likes WITH likes;"):
+        message = executor.run(statement)[0].message
+        assert "input likes: 2 stored tuple(s), strategy=off-path, posting sweep" in message
+        assert "consolidation: fused into the bitset emission sweep" in message
+        assert "cache: miss" in message
+        assert "estimate" not in message and "est_candidates" not in message
+    assert "planner" not in executor.run("STATS;")[0].payload
 
 
 def test_cache_admits_everything_while_not_full():
@@ -128,7 +121,7 @@ def test_executor_records_cost_on_cached_statements(executor):
     assert meta[0] is not None and meta[0] > 0  # cost_ms recorded
 
 
-def test_server_stats_payload_includes_planner():
+def test_server_stats_payload_has_no_planner_block():
     from repro.server.admin import stats_payload
     from repro.tenants import TenantRegistry
 
@@ -150,5 +143,5 @@ def test_server_stats_payload_includes_planner():
             return 0
 
     payload = stats_payload(_Server())
-    assert "reorders" in payload["planner"]
+    assert "planner" not in payload
     assert payload["tenants"][0]["name"] == "default"

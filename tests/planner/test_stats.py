@@ -3,7 +3,7 @@
 from repro.core.relation import HRelation
 from repro.core.schema import RelationSchema
 from repro.hierarchy.graph import Hierarchy
-from repro.planner import RelationStats, overlap_estimate, stats_for
+from repro.planner import RelationStats, stats_for
 
 
 def _zoo():
@@ -81,16 +81,3 @@ def test_stats_cache_survives_unrelated_lookups():
     r.assert_item(("bird",), truth=True)
     assert stats_for(r) is stats_for(r)
 
-
-def test_overlap_estimate_disjoint_and_shared():
-    h = _zoo()
-    birds = _relation(h, name="birds")
-    birds.assert_item(("bird",), truth=True)
-    mammals = _relation(h, name="mammals")
-    mammals.assert_item(("mammal",), truth=True)
-    both = _relation(h, name="both")
-    both.assert_item(("bird",), truth=True)
-    both.assert_item(("mammal",), truth=True)
-    assert overlap_estimate(stats_for(birds), stats_for(mammals)) == 0
-    assert overlap_estimate(stats_for(birds), stats_for(both)) == 1
-    assert overlap_estimate(stats_for(both), stats_for(both)) == 2

@@ -1,12 +1,13 @@
-"""Property tests: the cost-based planner is invisible in results.
+"""Property tests: short-circuit evaluation is invisible in results.
 
-Reordering a symmetric n-ary combine by estimated coverage and
-short-circuiting the per-candidate truth probes changes *which probes
-run*, never the candidate set, the emitted truths, or the emission
-order.  These properties pin that claim across random hierarchies and
-relations and all three preemption strategies, plus the statistics
-invariant the plans are priced from: incrementally patched stats always
-equal a from-scratch rebuild.
+``combine(fn_token=t)`` over three or more inputs stops probing a
+candidate at the first truth that settles a symmetric function, in
+input order.  That changes *which probes run*, never the candidate set,
+the emitted truths, or the emission order.  These properties pin it
+against an anonymous left-to-right ``combine`` across random
+hierarchies and relations and all three preemption strategies, plus the
+invariant of the per-relation statistics the benchmark times:
+incrementally patched stats always equal a from-scratch rebuild.
 """
 
 from hypothesis import given, settings
@@ -38,8 +39,9 @@ def same_relation(one: HRelation, other: HRelation) -> bool:
 def combine_inputs(draw, min_inputs=3, max_inputs=5):
     """n >= 3 consistent relations over one shared unary schema.
 
-    Three inputs is the planner's ``min_inputs`` floor: anything
-    smaller is declined and the property would test nothing.
+    Three inputs is where ``combine`` starts short-circuiting: a
+    binary combine probes every input and the property would test
+    nothing.
     """
     hierarchy = draw(hierarchies(name="dom"))
     first = draw(relations(hierarchy=hierarchy, max_tuples=4, name="r0"))
@@ -58,7 +60,7 @@ def combine_inputs(draw, min_inputs=3, max_inputs=5):
 
 def _oracle(rels, token, consolidate=True):
     """Left-to-right and exhaustive: an anonymous callable is never
-    planned or reordered."""
+    short-circuited."""
     return algebra.combine(
         rels, FUNCTIONS[token], name="oracle", consolidate=consolidate
     )
@@ -80,9 +82,9 @@ def _planned(rels, token, consolidate=True):
 def test_planned_combine_bit_identical_under_every_strategy(
     rels, strategy_name, token
 ):
-    """Planner-reordered combines emit exactly what left-to-right
-    emits — same items, same signs, same insertion order — under all
-    three preemption strategies."""
+    """Short-circuited combines emit exactly what the exhaustive
+    left-to-right combine emits — same items, same signs, same insertion
+    order — under all three preemption strategies."""
     under_strategy(strategy_name, *rels)
     assert same_relation(_planned(rels, token), _oracle(rels, token))
 

@@ -119,10 +119,12 @@ class TestErrors:
         with HQLClient(port=live_port, wire_format=self.wire_format) as client:
             client.execute(SETUP)
             session = client.session_id
+            # There is no SET statement: it fails at parse time, still as
+            # a typed HQL error, and the connection carries on.
             for statement in ("SET PLANNER OFF;", "SET PARALLEL 2;"):
-                with pytest.raises(RemoteError, match="unknown SET option") as excinfo:
+                with pytest.raises(RemoteError, match="unknown statement 'SET'") as excinfo:
                     client.execute(statement)
-                assert excinfo.value.remote_type == "HQLError"
+                assert excinfo.value.remote_type == "HQLSyntaxError"
                 assert client.truth("flies", ["tweety"]) is True
                 assert client.session_id == session  # no reconnect happened
 

@@ -76,6 +76,41 @@ class TestNoKnobComesBack:
         assert not hasattr(MaterializedView, "delta_pointwise_limit")
         assert not hasattr(repro.core, "BinderIndex")
 
+    def test_planner_decides_nothing(self):
+        """No plan, no estimate, no settable value: ``repro.planner``
+        keeps only the statistics the benchmark times, and nothing in
+        the package imports it."""
+        import ast
+        import pathlib
+
+        import repro.planner
+        from repro.hierarchy.graph import Hierarchy
+
+        gone = {
+            "PlannerConfig", "config", "configure", "reset", "plan_combine",
+            "estimate_candidates", "observe_estimate", "describe",
+        }
+        assert not gone & (set(repro.planner.__all__) | set(dir(repro.planner)))
+        assert set(repro.planner.__all__) == {"RelationStats", "stats_for"}
+        assert not hasattr(Hierarchy, "ancestor_mask")
+        package = pathlib.Path(repro.__file__).parent
+        importers = []
+        for path in package.rglob("*.py"):
+            if path.parent == package / "planner":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        "{}.{}".format(node.module, a.name) for a in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n == "repro.planner" or n.startswith("repro.planner.") for n in names):
+                    importers.append(str(path.relative_to(package)))
+        assert importers == []
+
 
 class TestQuickstart:
     def test_readme_example(self):
