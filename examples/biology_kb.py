@@ -12,7 +12,7 @@ Run:  python examples/biology_kb.py
 """
 
 from repro import consolidate, member, select_where
-from repro.core import MaterializedView, aggregate
+from repro.core import MaterializedView, ViewPlan, aggregate
 from repro.workloads import biology_dataset
 
 
@@ -55,15 +55,18 @@ def main() -> None:
     print("a materialized view stays fresh across updates:")
     flying_swimmers = MaterializedView(
         "flying_swimmers",
-        lambda: select_where(bio.can_fly, member("creature", "swimmer")),
-        sources=[bio.can_fly],
+        plan=ViewPlan("select", [bio.can_fly], {"creature": "swimmer"}),
     )
     before = sorted(x[0] for x in flying_swimmers.extension())
     bio.can_fly.assert_item(("mallard",), truth=False)  # a grounded duck
     after = sorted(x[0] for x in flying_swimmers.extension())
     print("  before: {}".format(before))
     print("  after grounding mallard: {}".format(after))
-    print("  refreshes: {}".format(flying_swimmers.refresh_count))
+    print(
+        "  refreshes: {} full, {} patched in place".format(
+            flying_swimmers.refresh_count, flying_swimmers.delta_refresh_count
+        )
+    )
     print()
 
     compact = consolidate(bio.can_fly)

@@ -25,10 +25,10 @@ moved is covered by some changed item; new meet candidates introduced by
 the change are themselves below a changed item, hence also covered.
 
 Everything else falls back to a full recompute: plans over join or
-divide (their candidate sets are not patchable cone-locally), legacy
-``compute=`` callables, hierarchy or strategy changes, exhausted delta
-logs, replaced source objects, oversized change batches, and a changed
-cone touching most of the pool (where full recompute is cheaper anyway).
+divide (their candidate sets are not patchable cone-locally),
+hierarchy or strategy changes, exhausted delta logs, replaced source
+objects, oversized change batches, and a changed cone touching most of
+the pool (where full recompute is cheaper anyway).
 
 Read-only handles
 -----------------
@@ -247,17 +247,9 @@ class MaterializedView:
     ----------
     name:
         The view's name (stamped onto the cached relation).
-    compute:
-        Legacy definition: a zero-argument callable producing an
-        :class:`HRelation`.  Always fully recomputed when stale.
-    sources:
-        With ``compute``: every relation the callable reads.  The cache
-        is invalidated when any source (or any of its hierarchies)
-        mutates; listing too few sources silently serves stale data, so
-        list them all.
     plan:
-        Declarative definition: a :class:`ViewPlan`.  Mutually exclusive
-        with ``compute`` and required for delta refresh.
+        The definition: a :class:`ViewPlan`.  The cache is stale when
+        any of its sources (or any of their hierarchies) mutates.
     """
 
     #: Delta refresh gives up beyond this many distinct changed items
@@ -268,21 +260,10 @@ class MaterializedView:
     #: times its size at the last full refresh before being rebuilt.
     pool_growth_limit = 4
 
-    def __init__(
-        self,
-        name: str,
-        compute: Optional[Callable[[], HRelation]] = None,
-        sources: Sequence[Source] = (),
-        plan: Optional[ViewPlan] = None,
-    ) -> None:
-        if (compute is None) == (plan is None):
-            raise ValueError("provide exactly one of compute= or plan=")
+    def __init__(self, name: str, plan: ViewPlan) -> None:
         self.name = name
-        self._compute = compute
         self._plan = plan
-        self._source_spec: List[Source] = (
-            list(plan.sources) if plan is not None else list(sources)
-        )
+        self._source_spec: List[Source] = list(plan.sources)
         self._cached: Optional[ViewRelation] = None
         self._stamp: Optional[Tuple] = None
         #: Pre-consolidation candidate pool of the last full refresh
@@ -353,13 +334,8 @@ class MaterializedView:
     # ------------------------------------------------------------------
 
     def _full_refresh(self, sources: Sequence[HRelation], stamp: Tuple) -> None:
-        capture: Optional[Dict] = (
-            {} if (self._plan is not None and self._plan.delta_capable) else None
-        )
-        if self._plan is not None:
-            computed = self._plan.compute(sources, self.name, capture=capture)
-        else:
-            computed = self._compute()
+        capture: Optional[Dict] = {} if self._plan.delta_capable else None
+        computed = self._plan.compute(sources, self.name, capture=capture)
         self._cached = ViewRelation.adopt(computed, self.name)
         if capture and "candidates" in capture:
             self._pool = dict(zip(capture["candidates"], capture["truths"]))
@@ -377,8 +353,7 @@ class MaterializedView:
         """Attempt an in-place patch; False falls through to a full
         recompute (the fallback matrix in the module docstring)."""
         if (
-            self._plan is None
-            or not self._plan.delta_capable
+            not self._plan.delta_capable
             or self._cached is None
             or self._pool is None
             or self._stamp is None
@@ -505,16 +480,10 @@ class ViewRegistry:
     def __init__(self) -> None:
         self._views: dict[str, MaterializedView] = {}
 
-    def define(
-        self,
-        name: str,
-        compute: Optional[Callable[[], HRelation]] = None,
-        sources: Sequence[Source] = (),
-        plan: Optional[ViewPlan] = None,
-    ) -> MaterializedView:
+    def define(self, name: str, plan: ViewPlan) -> MaterializedView:
         if name in self._views:
             raise ValueError("view {!r} already defined".format(name))
-        view = MaterializedView(name, compute=compute, sources=sources, plan=plan)
+        view = MaterializedView(name, plan)
         self._views[name] = view
         return view
 

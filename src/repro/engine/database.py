@@ -49,10 +49,6 @@ class HierarchicalDatabase:
         #: Version stamps in the keys make DML invalidation implicit;
         #: the DDL paths below call :meth:`QueryCache.invalidate_relation`
         #: whenever an *object* is replaced under an existing name.
-        #: Admission is cost-aware: under eviction pressure, payloads
-        #: cheaper to recompute than to look up are rejected and hot
-        #: expensive entries are pinned (the policy reads this
-        #: registry's ``hql.statement.ms`` to adapt its floor).
         self.query_cache = QueryCache(registry=self.metrics)
         self.views = ViewRegistry()
         #: Declarative record of every :meth:`define_view` call

@@ -299,10 +299,6 @@ class HQLExecutor:
                 self._slice_fingerprint(stmt),
                 [self._relation(stmt.left), self._relation(stmt.right)],
             )
-        if isinstance(stmt, ast.Truth):
-            return cache_key(
-                "truth", tuple(stmt.values), [self._relation(stmt.relation)]
-            )
         if isinstance(stmt, ast.Count):
             return cache_key(
                 "count",
@@ -326,11 +322,9 @@ class HQLExecutor:
             _trace.annotate(cache="hit")
             return hit.copy(name=hit.name) if isinstance(hit, HRelation) else hit
         _trace.annotate(cache="miss")
-        started = time.perf_counter()
         result = compute()
-        cost_ms = (time.perf_counter() - started) * 1e3
         payload = result.copy(name=result.name) if isinstance(result, HRelation) else result
-        cache.put(key, payload, source_names=key_source_names(key), cost_ms=cost_ms)
+        cache.put(key, payload, source_names=key_source_names(key))
         return result
 
     # ------------------------------------------------------------------
@@ -438,14 +432,11 @@ class HQLExecutor:
     # ------------------------------------------------------------------
 
     def _exec_truth(self, stmt: ast.Truth) -> Result:
-        # Sessions ask many TRUTHs of one relation; the bulk evaluator
-        # amortises the subsumption sweep across them (it is cached on
-        # the relation and refreshed only when a write moves a version),
-        # and the query cache makes an exact repeat a dict lookup.
-        value = self._through_cache(
-            self._statement_cache_key(stmt),
-            lambda: bulk.truth_of(self._relation(stmt.relation), stmt.values),
-        )
+        # The relation's maintained bulk evaluator is the point-answer
+        # cache: every write advances it, so a warm TRUTH is a few
+        # postings reads.  Putting the query cache in front costs more
+        # than the evaluator does, so TRUTH never goes through it.
+        value = bulk.truth_of(self._relation(stmt.relation), stmt.values)
         return Result(
             kind="truth",
             payload=value,

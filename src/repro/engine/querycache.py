@@ -3,8 +3,9 @@
 The paper positions the hierarchical model as a database back end for
 reasoning systems that "issue less queries to the database"; the bulk
 and bitset layers (PRs 1-2) made a *single* evaluation fast, this cache
-makes *repeated* evaluation nearly free.  Every read-only HQL statement
-(SELECT, PROJECT, the COMBINE/JOIN family, TRUTH, COUNT) is keyed by
+makes *repeated* evaluation nearly free.  The read-only HQL statements
+that build a result (SELECT, PROJECT, the COMBINE/JOIN family, COUNT)
+are keyed by
 
 * a canonical fingerprint of the operator tree — the operator name plus
   its normalized operands (relation names, WHERE fingerprints,
@@ -21,21 +22,13 @@ counters and must call :meth:`QueryCache.invalidate_relation` — the
 :class:`~repro.engine.database.HierarchicalDatabase` hooks do.
 
 Entries hold :class:`~repro.core.relation.HRelation` results (or plain
-scalars for TRUTH/COUNT).  Relation payloads are stored as private
-copies and served as copies, so a caller mutating a result can never
-corrupt the cache.  The store is LRU-bounded and keeps hit/miss/evict
-counters; EXPLAIN surfaces the per-statement ``cache: hit|miss`` status.
+scalars for COUNT).  Relation payloads are stored as private copies and
+served as copies, so a caller mutating a result can never corrupt the
+cache.  The store is a plain LRU with hit/miss/evict counters; EXPLAIN
+surfaces the per-statement ``cache: hit|miss`` status.
 
-Admission is cost-aware (:class:`CacheAdmission`, reading the cache's
-registry).  While the store has free space every payload is admitted —
-caching a cheap result costs nothing then.  Under eviction pressure
-the policy earns its keep: a payload whose compute cost is below the
-admission floor is *rejected* (counted under ``querycache.rejected``)
-instead of evicting something, and eviction scans pass over *pinned*
-entries — hot (hit at least once) and expensive ones — while any
-unpinned victim exists.  Cheap-query churn therefore stops flushing
-the entries that are actually worth keeping.  A payload put without
-``cost_ms`` is always admitted and never pinned.
+TRUTH is not cached: the relation's maintained bulk evaluator already
+answers a point question in less time than a lookup plus copy takes.
 """
 
 from __future__ import annotations
@@ -48,52 +41,6 @@ from repro.obs import MetricsRegistry
 
 MISS = object()
 """Sentinel distinguishing "no entry" from a cached falsy payload."""
-
-#: A query cheaper than this produced its answer in about the time a
-#: cache lookup + payload copy takes: storing it under eviction
-#: pressure can only evict something more valuable.
-ADMIT_FLOOR_MS = 0.05
-#: An entry at least this expensive that has also *hit* at least once
-#: is pinned: eviction passes over it while any unpinned victim exists.
-PIN_COST_MS = 1.0
-
-
-class CacheAdmission:
-    """The query cache's admission + pinning policy.
-
-    ``registry`` is the owning database's metrics registry: the
-    admission floor adapts to the observed ``hql.statement.ms``
-    distribution once enough statements have been timed (a deployment
-    whose cheapest statements take 5 ms should not hoard 0.1 ms
-    entries just because the default floor is lower).  A payload
-    stored without a measured cost fails open: always admitted, never
-    pinned.
-    """
-
-    def __init__(self, registry=None) -> None:
-        self.registry = registry
-
-    def _floor_ms(self) -> float:
-        floor = ADMIT_FLOOR_MS
-        if self.registry is not None:
-            histogram = self.registry.histogram("hql.statement.ms")
-            if histogram.count >= 200:
-                floor = min(max(floor, 0.02 * histogram.mean), 10.0 * floor)
-        return floor
-
-    def admit(self, cost_ms: Optional[float]) -> bool:
-        """Called only under eviction pressure: is this payload worth
-        evicting something for?"""
-        if cost_ms is None:
-            return True
-        return cost_ms >= self._floor_ms()
-
-    def pin(self, cost_ms: Optional[float], hits: int) -> bool:
-        """Hot (hit at least once) *and* expensive entries survive
-        eviction scans while any unpinned victim exists."""
-        if cost_ms is None:
-            return False
-        return hits >= 1 and cost_ms >= PIN_COST_MS
 
 
 def source_stamp(relation) -> Tuple:
@@ -146,8 +93,6 @@ class QueryCache:
     ) -> None:
         self.maxsize = maxsize
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        #: key -> [cost_ms, hits] bookkeeping for admission + pinning
-        self._meta: Dict[Tuple, list] = {}
         #: relation name -> keys of entries that read it (invalidation index)
         self._by_source: Dict[str, set] = {}
         #: The server runs read statements on a thread pool under a
@@ -156,14 +101,10 @@ class QueryCache:
         #: section per operation keeps the store coherent.
         self._lock = threading.RLock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Cost-aware admission/pinning policy.  A payload stored without
-        #: ``cost_ms`` is always admitted and never pinned (plain LRU).
-        self.admission = CacheAdmission(self.registry)
         self._hits = self.registry.counter("querycache.hits")
         self._misses = self.registry.counter("querycache.misses")
         self._evictions = self.registry.counter("querycache.evictions")
         self._invalidations = self.registry.counter("querycache.invalidations")
-        self._rejected = self.registry.counter("querycache.rejected")
         self._size = self.registry.gauge("querycache.entries")
 
     # counter views -- the registry owns the numbers
@@ -185,10 +126,6 @@ class QueryCache:
         return self._invalidations.value
 
     @property
-    def rejected(self) -> int:
-        return self._rejected.value
-
-    @property
     def hit_rate(self) -> float:
         """Hits over lookups, 0.0 before the first lookup."""
         lookups = self._hits.value + self._misses.value
@@ -205,9 +142,6 @@ class QueryCache:
                 return MISS
             self._entries.move_to_end(key)
             self._hits.inc()
-            meta = self._meta.get(key)
-            if meta is not None:
-                meta[1] += 1
             return entry
 
     def peek(self, key: Tuple) -> bool:
@@ -220,52 +154,25 @@ class QueryCache:
         key: Tuple,
         payload: object,
         source_names: Iterable[str] = (),
-        cost_ms: Optional[float] = None,
     ) -> None:
-        """Store ``payload``; evicts to make room when full.
-
-        ``cost_ms`` is what computing the payload took; it decides,
-        under eviction pressure only, whether the payload is worth an
-        eviction at all and which resident entries are pinned against
-        being the victim.
-        ``source_names`` feed the invalidation index.
-        """
+        """Store ``payload``, evicting the least recently used entries
+        to make room when full.  ``source_names`` feed the invalidation
+        index."""
         if self.maxsize <= 0:
             return
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._entries[key] = payload
-                if cost_ms is not None:
-                    self._meta.setdefault(key, [None, 0])[0] = cost_ms
-                return
-            if len(self._entries) >= self.maxsize and not self.admission.admit(cost_ms):
-                self._rejected.inc()
                 return
             while len(self._entries) >= self.maxsize:
-                evicted_key = self._victim()
-                del self._entries[evicted_key]
-                self._meta.pop(evicted_key, None)
+                evicted_key, _ = self._entries.popitem(last=False)
                 self._unindex(evicted_key)
                 self._evictions.inc()
             self._entries[key] = payload
-            self._meta[key] = [cost_ms, 0]
             self._size.set(len(self._entries))
             for name in source_names:
                 self._by_source.setdefault(name, set()).add(key)
-
-    def _victim(self) -> Tuple:
-        """The eviction victim: the least recently used *unpinned*
-        entry, falling back to plain LRU when everything is pinned (the
-        cache must never refuse to make room for an admitted entry)."""
-        first = None
-        for key in self._entries:
-            if first is None:
-                first = key
-            cost_ms, hits = self._meta.get(key, (None, 0))
-            if not self.admission.pin(cost_ms, hits):
-                return key
-        return first
 
     # ------------------------------------------------------------------
     # invalidation
@@ -284,7 +191,6 @@ class QueryCache:
             for key in keys:
                 if self._entries.pop(key, MISS) is not MISS:
                     dropped += 1
-                self._meta.pop(key, None)
                 self._unindex(key, skip=name)
             self._invalidations.inc(dropped)
             self._size.set(len(self._entries))
@@ -294,7 +200,6 @@ class QueryCache:
         with self._lock:
             self._invalidations.inc(len(self._entries))
             self._entries.clear()
-            self._meta.clear()
             self._by_source.clear()
             self._size.set(0)
 
@@ -318,7 +223,6 @@ class QueryCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "rejected": self.rejected,
             "hit_rate": self.hit_rate,
         }
 

@@ -154,8 +154,8 @@ class HQLServer:
         # Replication roles: a data directory (journal) makes this
         # server a *leader*; --replicate-from makes it a *follower*
         # (read-only, in-memory, streamed from the leader's journal).
-        # The replication stream covers the *default* tenant — named
-        # tenants are local to the process that hosts them.
+        # The replication stream covers the *default* tenant; a
+        # follower refuses every named tenant (``_bind_session``).
         self.leader_state = (
             replication_mod.make_leader_state(self) if self.recovery is not None else None
         )
@@ -511,11 +511,21 @@ class HQLServer:
         """Bind ``session`` to the named tenant (the ``use`` verb and
         the per-request ``db`` field).  Rejected inside an open
         transaction — staged state cannot follow the session across
-        databases — and against unknown/quarantined tenants."""
+        databases — against unknown/quarantined tenants, and on a
+        follower against every named tenant: the leader ships only the
+        default tenant's journal, so a named tenant here would answer
+        from a local, never-written copy."""
         if not isinstance(name, str) or not name:
             raise TenantError("'use' needs a 'db' tenant name")
         if session.tenant is not None and session.tenant.name == name:
             return session.tenant
+        if self.follower_state is not None and name != self.registry.default.name:
+            raise ReplicationError(
+                "tenant {!r} is not served by this follower: only the default "
+                "tenant is replicated; send it to the leader at {}".format(
+                    name, self.follower_state.leader_addr
+                )
+            )
         if session.in_transaction:
             raise TenantError(
                 "cannot switch tenants inside an open transaction; "

@@ -125,7 +125,7 @@ class TestStats:
         b = HierarchicalDatabase("b")
         a.execute(SETUP)
         a.query_cache.clear()
-        a.execute("TRUTH flies (tweety); TRUTH flies (tweety);")
+        a.execute("COUNT flies; COUNT flies;")
         assert a.query_cache.hits == 1
         assert b.query_cache.hits == 0
         assert b.metrics.counter("querycache.hits").value == 0

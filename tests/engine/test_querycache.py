@@ -6,6 +6,7 @@ import pytest
 from repro.engine import HierarchicalDatabase
 from repro.engine.hql import HQLExecutor
 from repro.engine.querycache import MISS, QueryCache, cache_key, source_stamp
+from repro.errors import HQLSyntaxError
 
 SETUP = """
 CREATE HIERARCHY animal;
@@ -50,6 +51,18 @@ class TestQueryCacheStore:
         assert cache.get(keys[0]) == 0
         assert cache.evictions == 1
 
+    def test_a_hit_entry_is_evicted_in_lru_order(self):
+        """No entry is protected by its hits: the least recently used
+        one goes, whatever it cost or however often it was read."""
+        cache = QueryCache(maxsize=2)
+        cache.put(("op", 1, ()), 1)
+        assert cache.get(("op", 1, ())) == 1
+        cache.put(("op", 2, ()), 2)
+        cache.put(("op", 3, ()), 3)
+        assert cache.evictions == 1
+        assert cache.get(("op", 1, ())) is MISS
+        assert cache.get(("op", 2, ())) == 2
+
     def test_maxsize_zero_stores_nothing(self, db):
         cache = QueryCache(maxsize=0)
         key = cache_key("select", (), [db.relation("flies")])
@@ -85,8 +98,8 @@ class TestQueryCacheStore:
             cache_key("select", (("test", "creature", "bird", False),), [swims]),
             cache_key("union", (), [flies, swims]),
             cache_key("union", (), [swims, flies]),
-            cache_key("truth", ("tweety",), [flies]),
             cache_key("count", (), [flies]),
+            cache_key("count", (("test", "creature", "bird", False),), [flies]),
         }
         assert len(keys) == 8
 
@@ -104,10 +117,11 @@ class TestExecutorIntegration:
         assert sorted(first.payload.extension()) == sorted(second.payload.extension())
 
     def test_mutation_invalidates_via_stamp(self, db):
-        db.execute("TRUTH flies (tweety);")
+        (before,) = db.execute("COUNT flies WHERE creature = tweety;")
         db.execute("ASSERT NOT flies (tweety);")
-        (result,) = db.execute("TRUTH flies (tweety);")
-        assert result.payload is False
+        (after,) = db.execute("COUNT flies WHERE creature = tweety;")
+        assert (before.payload, after.payload) == (1, 0)
+        assert db.query_cache.hits == 0  # the stamp moved: a miss, not a stale hit
 
     def test_served_copy_is_isolated(self, db):
         (first,) = db.execute("SELECT FROM flies WHERE creature = bird;")
@@ -116,9 +130,24 @@ class TestExecutorIntegration:
         assert len(list(second.payload.extension())) > 0
 
     def test_truth_and_count_cached(self, db):
+        """Only COUNT of the two is cached; TRUTH reads the evaluator."""
         db.execute("TRUTH flies (paul); TRUTH flies (paul);")
         db.execute("COUNT flies; COUNT flies;")
-        assert db.query_cache.stats()["hits"] == 2
+        assert db.query_cache.stats()["hits"] == 1
+
+    def test_truth_never_touches_the_cache(self, db):
+        before = db.query_cache.stats()
+        results = db.execute("TRUTH flies (tweety); TRUTH flies (tweety);")
+        assert [r.payload for r in results] == [True, True]
+        db.execute("ASSERT NOT flies (tweety);")
+        (after,) = db.execute("TRUTH flies (tweety);")
+        assert after.payload is False
+        stats = db.query_cache.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (
+            before["hits"],
+            before["misses"],
+            before["entries"],
+        )
 
     def test_transaction_bypasses_cache(self, db):
         session = HQLExecutor(db)
@@ -142,10 +171,10 @@ class TestExecutorIntegration:
 
     def test_alias_overwrite_invalidates(self, db):
         db.execute("SELECT FROM flies WHERE creature = bird AS picked;")
-        db.execute("TRUTH picked (tweety);")
+        (before,) = db.execute("COUNT picked WHERE creature = tweety;")
         db.execute("SELECT FROM swims WHERE creature = penguin AS picked;")
-        (result,) = db.execute("TRUTH picked (tweety);")
-        assert result.payload is False
+        (after,) = db.execute("COUNT picked WHERE creature = tweety;")
+        assert (before.payload, after.payload) == (1, 0)
 
     def test_explain_reports_hit_and_miss(self, db):
         (miss,) = db.execute("EXPLAIN SELECT FROM flies WHERE creature = bird;")
@@ -155,3 +184,12 @@ class TestExecutorIntegration:
         db.execute("ASSERT flies (tweety);")
         (again,) = db.execute("EXPLAIN SELECT FROM flies WHERE creature = bird;")
         assert "cache: miss" in again.message
+
+    def test_explain_truth_names_no_cache(self, db):
+        """EXPLAIN names the decisions taken.  TRUTH takes no plan or
+        cache decision, so EXPLAIN refuses it outright instead of
+        printing a ``cache:`` line; SELECT still reports one."""
+        with pytest.raises(HQLSyntaxError, match="EXPLAIN supports"):
+            db.execute("EXPLAIN TRUTH flies (tweety);")
+        (select,) = db.execute("EXPLAIN SELECT FROM flies WHERE creature = bird;")
+        assert "cache: miss" in select.message

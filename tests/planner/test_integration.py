@@ -1,12 +1,10 @@
 """What is left of the planner in HQL: no SET, no planner block in
-STATS, an EXPLAIN that names only the decisions actually taken, and
-the query cache's admission policy under pressure."""
+STATS, and an EXPLAIN that names only the decisions actually taken."""
 
 import pytest
 
 from repro.engine.database import HierarchicalDatabase
 from repro.engine.hql.executor import HQLExecutor
-from repro.engine.querycache import QueryCache
 from repro.errors import HQLError
 
 SCHEMA = """
@@ -49,76 +47,6 @@ def test_explain_names_only_decisions_taken(executor):
         assert "cache: miss" in message
         assert "estimate" not in message and "est_candidates" not in message
     assert "planner" not in executor.run("STATS;")[0].payload
-
-
-def test_cache_admits_everything_while_not_full():
-    cache = QueryCache(maxsize=8)
-    for i in range(8):
-        cache.put(("op", i, ()), i, cost_ms=0.0001)
-    assert len(cache) == 8
-    assert cache.rejected == 0
-
-
-def test_cache_rejects_cheap_payloads_under_pressure():
-    cache = QueryCache(maxsize=2)
-    cache.put(("op", 1, ()), 1, cost_ms=5.0)
-    cache.put(("op", 2, ()), 2, cost_ms=5.0)
-    cache.put(("op", 3, ()), 3, cost_ms=0.0001)  # cheaper than a lookup
-    assert cache.rejected == 1
-    assert cache.evictions == 0
-    assert len(cache) == 2
-    cache.put(("op", 4, ()), 4, cost_ms=5.0)  # expensive: evicts LRU
-    assert cache.evictions == 1
-
-
-def test_cache_eviction_passes_over_pinned_entries():
-    from repro.engine.querycache import MISS
-
-    cache = QueryCache(maxsize=2)
-    cache.put(("hot",), "expensive", cost_ms=50.0)
-    assert cache.get(("hot",)) == "expensive"  # hit: now hot + expensive
-    cache.put(("cold",), "cheap-but-kept", cost_ms=2.0)
-    cache.put(("new",), "payload", cost_ms=9.0)
-    # LRU order would evict "hot"; pinning diverts the eviction to the
-    # unpinned "cold" entry instead.
-    assert cache.get(("hot",)) == "expensive"
-    assert cache.get(("cold",)) is MISS
-
-
-def test_cache_falls_back_to_lru_when_everything_is_pinned():
-    cache = QueryCache(maxsize=2)
-    for key in ("a", "b"):
-        cache.put((key,), key, cost_ms=50.0)
-        assert cache.get((key,)) == key
-    cache.put(("c",), "c", cost_ms=50.0)  # all pinned: plain LRU wins
-    assert len(cache) == 2
-    assert cache.evictions == 1
-
-
-def test_costless_puts_are_plain_lru():
-    from repro.engine.querycache import MISS
-
-    cache = QueryCache(maxsize=2)
-    cache.put(("op", 1, ()), 1)
-    assert cache.get(("op", 1, ())) == 1  # a hit never pins a costless entry
-    cache.put(("op", 2, ()), 2)
-    cache.put(("op", 3, ()), 3)  # no cost: admitted, evicts the LRU entry
-    assert cache.rejected == 0
-    assert cache.evictions == 1
-    assert cache.get(("op", 1, ())) is MISS
-
-
-def test_database_wires_admission_into_its_cache():
-    db = HierarchicalDatabase("wired")
-    assert db.query_cache.admission.registry is db.metrics
-
-
-def test_executor_records_cost_on_cached_statements(executor):
-    executor.run("SELECT FROM likes WHERE a = c0;")
-    cache = executor.database.query_cache
-    assert len(cache) == 1
-    (meta,) = cache._meta.values()
-    assert meta[0] is not None and meta[0] > 0  # cost_ms recorded
 
 
 def test_server_stats_payload_has_no_planner_block():

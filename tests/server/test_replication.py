@@ -303,6 +303,38 @@ class TestReplicationE2E:
             # The write itself still committed on the leader.
             assert lc.count("flies") == 1
 
+    def test_follower_refuses_named_tenants(self, leader):
+        """The leader ships only the default tenant's journal, so a
+        follower's copy of a named tenant would answer from nothing."""
+        follower = start_follower(leader.addr, tenants=("t0",))
+        try:
+            with HQLClient(*parse_addr(leader.addr)) as lc:
+                lc.execute(SETUP, wait_sync=1)
+                lc.create_tenant("t0")
+                lc.use("t0")
+                lc.execute(SETUP)
+                assert lc.count("flies") == 1
+            with HQLClient(*parse_addr(follower.addr), follow_leader=False) as fc:
+                with pytest.raises(RemoteError) as excinfo:
+                    fc.use("t0")
+                assert excinfo.value.remote_type == "ReplicationError"
+                assert "'t0'" in str(excinfo.value)
+                assert "only the default tenant is replicated" in str(excinfo.value)
+                # The session survives, still bound to the default tenant.
+                assert fc.count("flies") == 1
+                assert fc.use("default")["tenant"] == "default"
+            with HQLClient(
+                *parse_addr(follower.addr), follow_leader=False, db="t0"
+            ) as fc:
+                with pytest.raises(RemoteError) as excinfo:
+                    fc.query("TRUTH flies (tweety);")
+                assert excinfo.value.remote_type == "ReplicationError"
+                assert "'t0'" in str(excinfo.value)
+                fc.db = None
+                assert fc.count("flies") == 1
+        finally:
+            follower.shutdown()
+
     def test_followers_never_serve_writes(self, leader):
         follower = start_follower(leader.addr)
         try:

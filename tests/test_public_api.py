@@ -111,6 +111,20 @@ class TestNoKnobComesBack:
                     importers.append(str(path.relative_to(package)))
         assert importers == []
 
+    def test_query_cache_is_a_plain_lru(self):
+        """No admission floor, no pinning, no compute cost: the cache
+        is sized and counted, nothing else."""
+        import inspect
+
+        from repro.engine import querycache
+
+        assert not {"CacheAdmission", "ADMIT_FLOOR_MS", "PIN_COST_MS"} & set(
+            dir(querycache)
+        )
+        assert "cost_ms" not in inspect.signature(querycache.QueryCache.put).parameters
+        init = inspect.signature(querycache.QueryCache.__init__).parameters
+        assert list(init) == ["self", "maxsize", "registry"]
+
 
 class TestQuickstart:
     def test_readme_example(self):
