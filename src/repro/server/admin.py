@@ -109,8 +109,9 @@ def _required_name(args: Dict[str, Any]) -> str:
 
 def tenants_payload(server) -> list:
     """One row per hosted tenant, with live cursor and session counts
-    folded in (the registry knows sizes and quotas; only the server
-    knows which sessions hold cursors against which tenant)."""
+    and the tenant's lock state folded in (the registry knows sizes and
+    quotas; only the server knows which sessions hold cursors against
+    which tenant)."""
     rows = []
     for name, info in sorted(server.registry.describe().items()):
         tenant = server.registry.tenants.get(name)
@@ -121,6 +122,9 @@ def tenants_payload(server) -> list:
         row["sessions"] = sum(
             1 for s in server.sessions.values() if s.tenant is tenant
         )
+        if tenant is not None:
+            # Per tenant: ``server`` below reports the default's only.
+            row["lock"] = tenant.lock.describe()
         rows.append(row)
     return rows
 

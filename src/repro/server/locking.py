@@ -1,7 +1,7 @@
 """A readers-writer lock for the asyncio server.
 
 Read-only HQL statements (SELECT, TRUTH, COUNT, …) hold the lock in
-*shared* mode and overlap freely — against the bitset engine they are
+*shared* mode and may overlap — against the bitset engine they are
 pure reads plus idempotent cache fills, and the engine-side caches take
 their own micro-locks (:class:`~repro.engine.querycache.QueryCache`).
 Mutating statements hold it in *exclusive* mode and serialise, which is
@@ -14,14 +14,21 @@ starve DML — the classic failure mode of naive RW locks under exactly
 the read-heavy traffic this server is built for.
 
 Not thread-safe: this is an asyncio-side lock, acquired on the event
-loop; the guarded work may run on worker threads, but acquisition and
-release happen between awaits.
+loop, and acquisition and release happen between awaits.  The guarded
+work of a ``TRUTH`` runs on the loop itself (bounded: one postings
+probe plus at most one evaluator advance); every other statement's
+runs on a worker thread, because it grows with relation size.  Inline
+truth questions hold the shared lock without ever yielding, so they
+never overlap one another: :attr:`ReadWriteLock.max_concurrent_readers`
+counts threaded reads only — a per-layer count, not a gate, which reads
+1 under a pure ``TRUTH`` load by construction.
 """
 
 from __future__ import annotations
 
 import asyncio
 from contextlib import asynccontextmanager
+from typing import Dict
 
 
 class ReadWriteLock:
@@ -108,6 +115,15 @@ class ReadWriteLock:
     @property
     def writers_waiting(self) -> int:
         return self._writers_waiting
+
+    def describe(self) -> Dict[str, object]:
+        """The lock block of a tenant's ``stats`` row."""
+        return {
+            "readers": self._readers,
+            "writer_active": self._writer_active,
+            "writers_waiting": self._writers_waiting,
+            "max_concurrent_readers": self.max_concurrent_readers,
+        }
 
     def __repr__(self) -> str:
         return "ReadWriteLock(readers={}, writer={}, waiting={})".format(

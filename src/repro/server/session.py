@@ -82,7 +82,9 @@ class Session:
         self.opened_at = time.time()
         self.statements = 0
         self.errors = 0
-        self.last_hql: Optional[str] = None
+        #: The last statement executed, rendered back to HQL only when
+        #: the admin ``sessions`` row asks (:meth:`describe`).
+        self.last_statement: Optional[ast.Statement] = None
         self.closed = False
         self.cursors: Dict[int, Cursor] = {}
         self._next_cursor = 0
@@ -110,11 +112,14 @@ class Session:
         self.executor = executor
 
     def execute(self, statement: ast.Statement):
-        """Run one statement on this session's executor (called on a
-        worker thread while the server holds the appropriate lock
-        mode)."""
+        """Run one statement on this session's executor while the
+        server holds the appropriate lock mode.  A ``TRUTH`` is called
+        directly on the event loop (its work is bounded: one postings
+        probe plus at most one evaluator advance); every other
+        statement is called on a worker thread, because its work grows
+        with relation size."""
         self.statements += 1
-        self.last_hql = ast.to_hql(statement)
+        self.last_statement = statement
         with _trace.span("server.session", session=self.id, peer=self.peer):
             try:
                 return self.executor.execute_statement(statement)
@@ -177,7 +182,11 @@ class Session:
             "errors": self.errors,
             "in_transaction": self.in_transaction,
             "cursors": len(self.cursors),
-            "last_hql": self.last_hql,
+            "last_hql": (
+                None
+                if self.last_statement is None
+                else ast.to_hql(self.last_statement)
+            ),
         }
 
     def __repr__(self) -> str:

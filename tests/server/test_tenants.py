@@ -11,6 +11,7 @@ databases.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
@@ -367,6 +368,45 @@ class TestLifecycle:
             assert rows["t1"]["tuples"] == 1
             assert rows["t2"]["tuples"] == 0
             assert "cache" in rows["t1"] and "quotas" in rows["t1"]
+
+    def test_tenant_rows_carry_their_own_lock_state(self):
+        server = HQLServer(HierarchicalDatabase("multi"), port=0, tenants=("t1", "t2"))
+        runner = ServerThread(server)
+        host, port = runner.start()
+        t1 = server.registry.get("t1")
+        held = False
+        try:
+            with client_for(host, port, db="t1") as c:
+                c.execute(SETUP + "ASSERT flies (bird);")
+                c.count("flies")  # one threaded read on t1
+            asyncio.run_coroutine_threadsafe(
+                t1.lock.acquire_write(), runner._loop
+            ).result(5)
+            held = True
+            with client_for(host, port) as admin:
+                stats = admin.stats()
+            rows = {t["name"]: t for t in stats["tenants"]}
+            assert rows["t1"]["lock"] == {
+                "readers": 0,
+                "writer_active": True,
+                "writers_waiting": 0,
+                "max_concurrent_readers": 1,
+            }
+            assert rows["t2"]["lock"] == {
+                "readers": 0,
+                "writer_active": False,
+                "writers_waiting": 0,
+                "max_concurrent_readers": 0,
+            }
+            # The server block still reports the default tenant's lock.
+            assert stats["server"]["writer_active"] is False
+            assert stats["server"]["active_readers"] == 0
+        finally:
+            if held:
+                asyncio.run_coroutine_threadsafe(
+                    t1.lock.release_write(), runner._loop
+                ).result(5)
+            runner.shutdown()
 
     def test_metrics_text_prefixes_named_tenants(self, multi_server):
         _, host, port = multi_server
