@@ -100,7 +100,8 @@ class Sweep(NamedTuple):
     #: Values that entered a meet-closure overlap sweep (0 on a tree).
     closure_probed: int
     #: Whole-hierarchy walks the meet-closure made (0 on a tree; the
-    #: redundancy pass only ever visits the candidates' ancestors).
+    #: redundancy pass makes none: a unary one reads the hierarchy's
+    #: ancestor table, an n-ary one visits the candidates' ancestors).
     hierarchy_sweeps: int
 
 
@@ -129,7 +130,8 @@ def pointwise_sweep(
     first *true* for OR, first *false* for AND.
 
     A candidate whose strongest binders conflict in some input raises
-    :class:`InconsistentRelationError`.
+    :class:`InconsistentRelationError` naming the first such input's
+    strongest binders there.
     """
     product = schema.product
     stats: Counter = Counter()
@@ -156,9 +158,10 @@ def pointwise_sweep(
                     break
             truths.append(value)
     if None in truths:
-        raise InconsistentRelationError(
-            [Conflict(item=candidates[truths.index(None)], binders=())]
-        )
+        item = candidates[truths.index(None)]
+        conflicted = next(e for e in evaluators if e.truth(item) is None)
+        binders = tuple(conflicted.truth_and_binders(item)[1])
+        raise InconsistentRelationError([Conflict(item=item, binders=binders)])
     # The fused mask sweep is exact only without elimination binding;
     # non-normal-form products run the literal two-step procedure.
     fused = consolidate and not product.needs_elimination_binding()

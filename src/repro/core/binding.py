@@ -111,9 +111,11 @@ def _hasse_graph(product, items: List[Item], schema=None) -> Dict[object, Set[ob
     if schema is None:
         schema = _SchemaView(product)
     subsumers = _bulk.subsumer_masks(schema, items)
+    keys = range(len(items))
     graph: Dict[object, Set[object]] = {item: set() for item in items}
     for j, item in enumerate(items):
-        covers = _bulk.minimal_of_mask(subsumers[j], subsumers)
+        above = subsumers[j]
+        covers = above & ~_bulk.mask_union(above, subsumers, keys)
         while covers:
             low = covers & -covers
             graph[items[low.bit_length() - 1]].add(item)

@@ -417,6 +417,12 @@ class ProjectedEvaluator:
         positions = self._positions
         return self._base.truth(tuple(item[p] for p in positions))
 
+    def truth_and_binders(self, item: Item) -> Tuple[Optional[bool], List[HTuple]]:
+        """The base evaluator's answer at the projected item (binders
+        are the base relation's tuples)."""
+        positions = self._positions
+        return self._base.truth_and_binders(tuple(item[p] for p in positions))
+
 
 class ConeEvaluator:
     """The truth function of a one-tuple relation ``{(cone, true)}``:
@@ -449,8 +455,9 @@ def subsumer_masks(schema, items: Sequence[Item]) -> List[int]:
     strict subsumers of item *i* are the AND across attributes of the
     masks at its values, minus its own bit.  Only the items' values and
     their ancestors are visited, so the cost follows the items, not the
-    hierarchy.  This is the substrate the bulk consolidation sweep and
-    the vectorised subsumption graph read from.
+    hierarchy.  The bulk consolidation sweep reads it on n-ary schemas
+    (a unary one reads the hierarchy's ancestor table instead), and the
+    vectorised subsumption graph reads it at every arity.
     """
     postings: List[Dict[str, int]] = []
     for position, hierarchy in enumerate(schema.hierarchies):
@@ -522,17 +529,23 @@ def overlap_masks(schema, subjects: Sequence[Item], others: Sequence[Item]) -> L
     return masks
 
 
-def minimal_of_mask(mask: int, subsumers: Sequence[int]) -> int:
-    """The minimal (most specific) members of ``mask`` given each
-    member's strict-subsumer mask: drop everything some member sits
-    strictly above."""
-    dominated = 0
+def mask_union(mask: int, table, keys: Sequence) -> int:
+    """The OR of ``table[keys[i]]`` over the set bits *i* of ``mask``.
+
+    With ``table`` holding subsumer masks, this is everything some
+    member of ``mask`` lies below: over strict masks, ``mask &
+    ~mask_union(mask, ...)`` is the minimal (most specific) members.
+    ``keys`` maps a bit to its table key — ``range(n)`` for a
+    position-indexed list, a hierarchy's topological order for its
+    name-keyed rank masks — so every lookup stays in C.
+    """
+    out = 0
     rest = mask
     while rest:
         low = rest & -rest
-        dominated |= subsumers[low.bit_length() - 1]
+        out |= table[keys[low.bit_length() - 1]]
         rest ^= low
-    return mask & ~dominated
+    return out
 
 
 # ----------------------------------------------------------------------

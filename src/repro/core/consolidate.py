@@ -22,9 +22,12 @@ reachability without introducing parallel edges.  The immediate
 predecessors of a node in the partially-consolidated graph are then
 exactly the *minimal kept strict subsumers* of its item — so the whole
 pass runs as one bulk subsumption sweep (:func:`redundancy_sweep`) over
-posting bitsets: no graph is built and no node is eliminated.  Products
-that need elimination binding fall back to the literal
-graph-construction procedure.
+bitsets: no graph is built and no node is eliminated.  A unary schema
+reads each item's subsumers from its hierarchy's cached ancestor table
+(bits are topological ranks), so nothing is built at all; higher
+arities build posting masks over the items.  Products that need
+elimination binding fall back to the literal graph-construction
+procedure.
 """
 
 from __future__ import annotations
@@ -77,20 +80,43 @@ def redundancy_sweep(
     the universal negated tuple is the predecessor.  Valid on
     normal-form products only (the caller gates on
     ``needs_elimination_binding``).
+
+    Where the bitsets come from is the only thing arity changes.  A
+    unary item ``(v,)`` is bit ``rank[v]`` of its hierarchy and reads
+    its subsumers from :meth:`Hierarchy.ancestor_masks`; n-ary items
+    are bit *i* of their position and read
+    :func:`bulk.subsumer_masks`.  The kept masks live in the same space.
     """
-    subsumers = _bulk.subsumer_masks(schema, items)
+    if schema.arity == 1:
+        # Rank space: item ``(v,)`` owns bit ``rank[v]`` and the
+        # hierarchy's cached ancestor table holds its subsumers, so no
+        # postings are built and nothing is walked.  The table's masks
+        # are reflexive, but an item's own bit is never kept before the
+        # item itself is decided, so they AND with the kept masks as the
+        # strict ones would; and the own bits they add to a
+        # ``mask_union`` over agreeing members are no differing bits.
+        hierarchy = schema.hierarchies[0]
+        rank = hierarchy.topological_ranks()
+        table = hierarchy.ancestor_masks()
+        keys = hierarchy.topological_order()
+        positions = [rank[value] for (value,) in items]
+        subsumers = [table[value] for (value,) in items]
+    else:
+        positions = keys = range(len(items))
+        subsumers = table = _bulk.subsumer_masks(schema, items)
     kept_true = kept_false = 0  # the kept items so far, by truth value
-    bit = 1
     flags: List[bool] = []
-    for above, truth in zip(subsumers, truths):
+    for position, above, truth in zip(positions, subsumers, truths):
         if truth:
             agree, differ = above & kept_true, above & kept_false
         else:
             agree, differ = above & kept_false, above & kept_true
         if agree and differ:
             # Kept subsumers of both signs: only the minimal ones are
-            # predecessors.  (Unanimous ones are decided without it.)
-            differ &= _bulk.minimal_of_mask(agree | differ, subsumers)
+            # predecessors, and some differing one is minimal iff some
+            # differing one lies above no agreeing one.  (Unanimous
+            # ones are decided without it.)
+            differ &= ~_bulk.mask_union(agree, table, keys)
         if differ:
             same = False
         elif agree:
@@ -100,10 +126,9 @@ def redundancy_sweep(
         flags.append(same)
         if not same:
             if truth:
-                kept_true |= bit
+                kept_true |= 1 << position
             else:
-                kept_false |= bit
-        bit <<= 1
+                kept_false |= 1 << position
     return flags
 
 

@@ -292,6 +292,15 @@ class Hierarchy:
         returned dict as read-only — it *is* the cache."""
         return self._order()[1]
 
+    def ancestor_masks(self) -> Dict[str, int]:
+        """The name → reflexive ancestor bitset mapping, bits indexed by
+        :meth:`topological_rank` (the raw form of :meth:`ancestors`).
+
+        Bind it once for batch subsumption tests: the strict subsumers
+        of a node are ``masks[name] ^ (1 << rank)``.  Treat the returned
+        dict as read-only — it *is* the cache."""
+        return self._masks()["anc"]  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # subsumption / reachability
     # ------------------------------------------------------------------

@@ -266,6 +266,42 @@ class TestCombine:
         with pytest.raises(InconsistentRelationError):
             combine([bad, good], lambda a, b: a and b)
 
+    def test_conflict_error_names_the_input_binders(self):
+        """Appu is both royal and Indian: ``{+royal, -indian}`` leaves
+        it conflicted, and the error names both strongest binders."""
+        h = Hierarchy("animal")
+        h.add_class("elephant")
+        h.add_class("royal", parents=["elephant"])
+        h.add_class("indian", parents=["elephant"])
+        h.add_instance("appu", parents=["royal", "indian"])
+        r = HRelation([("a", h)], name="r")
+        r.assert_item(("royal",), truth=True)
+        r.assert_item(("indian",), truth=False)
+        with pytest.raises(InconsistentRelationError) as caught:
+            union(r, r)
+        (conflict,) = caught.value.conflicts
+        assert conflict.item == ("appu",)
+        assert [str(b) for b in conflict.binders] == ["+(royal)", "-(indian)"]
+        assert "conflict at (appu) between +(royal) and -(indian)" in str(caught.value)
+
+    def test_zero_copy_join_conflict_names_the_input_binders(self):
+        h = Hierarchy("animal")
+        h.add_class("royal")
+        h.add_class("indian")
+        h.add_instance("appu", parents=["royal", "indian"])
+        colors = Hierarchy("colors")
+        colors.add_instance("grey")
+        r = HRelation([("a", h)], name="r")
+        r.assert_item(("royal",), truth=True)
+        r.assert_item(("indian",), truth=False)
+        s = HRelation([("c", colors)], name="s")
+        s.assert_item(("grey",), truth=True)
+        with pytest.raises(InconsistentRelationError) as caught:
+            join(r, s)
+        (conflict,) = caught.value.conflicts
+        assert conflict.item[0] == "appu"
+        assert [str(b) for b in conflict.binders] == ["+(royal)", "-(indian)"]
+
     def test_combine_three_way(self, loves):
         both_and_more = combine(
             [loves.jack_loves, loves.jill_loves, loves.jack_loves],

@@ -254,3 +254,80 @@ def test_view_over_a_replaced_pointwise_result_refreshes_in_full(loves):
     assert replaced.version > view._cursors[0]
     assert view.relation().same_tuples_as(select(replaced, {"creature": "penguin"}))
     assert (view.refresh_count, view.delta_refresh_count) == (2, 0)
+
+
+# ----------------------------------------------------------------------
+# unary redundancy reads the hierarchy's ancestor table
+# ----------------------------------------------------------------------
+
+_UNARY_SCRIPT = """
+CREATE HIERARCHY animal;
+CREATE CLASS elephant IN animal;
+CREATE CLASS royal IN animal UNDER elephant;
+CREATE CLASS indian IN animal UNDER elephant;
+CREATE INSTANCE clyde IN animal UNDER royal;
+CREATE INSTANCE appu IN animal UNDER royal, indian;
+CREATE INSTANCE raja IN animal UNDER indian;
+CREATE RELATION grey (a: animal);
+CREATE RELATION white (a: animal);
+ASSERT grey (elephant); ASSERT NOT grey (royal); ASSERT NOT grey (clyde);
+ASSERT white (royal); ASSERT NOT white (appu); ASSERT white (raja);
+UNION grey WITH white AS u;
+INTERSECT grey WITH white AS i;
+DIFFERENCE white WITH grey AS d;
+SELECT FROM white WHERE a = royal AS s;
+CONSOLIDATE grey AS c;
+"""
+
+
+def _unary_results():
+    from repro.engine import HierarchicalDatabase
+
+    db = HierarchicalDatabase("zoo")
+    db.execute(_UNARY_SCRIPT)
+    return {
+        name: list(db.relation(name).asserted.items())
+        for name in ("u", "i", "d", "s", "c")
+    }
+
+
+def test_unary_sweep_builds_no_postings(monkeypatch):
+    from repro.core import bulk
+
+    want = _unary_results()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a unary sweep built postings")
+
+    monkeypatch.setattr(bulk, "subsumer_masks", forbidden)
+    monkeypatch.setattr(Hierarchy, "ancestor_union", forbidden)
+    assert _unary_results() == want
+    assert want == {
+        "u": [(("elephant",), True), (("appu",), False)],
+        "i": [(("raja",), True)],
+        "d": [(("royal",), True), (("appu",), False)],
+        "s": [(("royal",), True), (("appu",), False)],
+        "c": [(("elephant",), True), (("royal",), False)],
+    }
+
+
+def test_binary_combine_still_reads_subsumer_masks(monkeypatch):
+    from repro.core import bulk
+    from repro.core.algebra import combine
+
+    calls = []
+    real = bulk.subsumer_masks
+
+    def spy(schema, items):
+        calls.append(len(items))
+        return real(schema, items)
+
+    monkeypatch.setattr(bulk, "subsumer_masks", spy)
+    schema = binary_fixture()[0].schema
+    left = HRelation(schema, name="left")
+    right = HRelation(schema, name="right")
+    left.assert_item(("a", "red"), truth=True)
+    right.assert_item(("x", "red"), truth=False)
+    result = combine([left, right], lambda a, b: a or b)
+    assert calls == [2]
+    assert list(result.asserted.items()) == [(("a", "red"), True)]

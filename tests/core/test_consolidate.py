@@ -133,3 +133,47 @@ class TestChains:
         r = make_relation(h, pairs)
         result = consolidate(r)
         assert [t.item for t in result.tuples()] == [("n0",)]
+
+
+class TestKeptSubsumersOfBothSigns:
+    """Fig. 4's shape: Appu is both a royal and an Indian elephant, so
+    kept subsumers of both signs meet below them and only the minimal
+    ones are predecessors."""
+
+    @staticmethod
+    def elephants():
+        h = Hierarchy("animal")
+        h.add_class("elephant")
+        h.add_class("royal", parents=["elephant"])
+        h.add_class("indian", parents=["elephant"])
+        h.add_instance("clyde", parents=["royal"])
+        h.add_instance("appu", parents=["royal", "indian"])
+        return h
+
+    def test_both_signs_branch_matches_graph_elimination(self, monkeypatch):
+        from repro.core import bulk
+        from repro.core.consolidate import _redundant_by_elimination
+
+        scans = []
+        real = bulk.mask_union
+
+        def spy(mask, table, keys):
+            scans.append(mask)
+            return real(mask, table, keys)
+
+        monkeypatch.setattr(bulk, "mask_union", spy)
+        r = make_relation(
+            self.elephants(),
+            [
+                ("elephant", True),
+                ("royal", False),
+                ("indian", False),
+                ("clyde", False),  # minimal kept subsumer -royal: redundant
+                ("appu", True),  # minimal kept subsumers -royal, -indian: kept
+            ],
+        )
+        removed = redundant_tuples(r)
+        assert scans  # the both-signs branch ran
+        assert removed == [("clyde",)]
+        assert removed == _redundant_by_elimination(r)
+        assert set(consolidate(r).extension()) == set(r.extension())

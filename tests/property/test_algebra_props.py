@@ -398,3 +398,13 @@ def test_consolidation_sweep_matches_graph_elimination(r):
     from repro.core.consolidate import _redundant_by_elimination, redundant_tuples
 
     assert set(redundant_tuples(r)) == set(_redundant_by_elimination(r))
+
+
+@given(relations(arity=1, max_tuples=6))
+@settings(max_examples=60, deadline=None)
+def test_unary_consolidation_sweep_matches_graph_elimination(r):
+    """The rank-space sweep (unary schemas, two-parent DAGs) removes
+    exactly the set the literal elimination procedure removes."""
+    from repro.core.consolidate import _redundant_by_elimination, redundant_tuples
+
+    assert set(redundant_tuples(r)) == set(_redundant_by_elimination(r))
