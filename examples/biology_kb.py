@@ -63,8 +63,8 @@ def main() -> None:
     print("  before: {}".format(before))
     print("  after grounding mallard: {}".format(after))
     print(
-        "  refreshes: {} full, {} patched in place".format(
-            flying_swimmers.refresh_count, flying_swimmers.delta_refresh_count
+        "  refreshes: {} (one per read after a change)".format(
+            flying_swimmers.refresh_count
         )
     )
     print()

@@ -184,7 +184,6 @@ def _pointwise(
     name: str,
     seeds: Iterable[Item],
     consolidate: bool,
-    capture: Optional[Dict] = None,
     shortcircuit: Optional[str] = None,
 ) -> HRelation:
     """The bitset-native pointwise engine every operator rides: one
@@ -201,10 +200,6 @@ def _pointwise(
     exhaustive loop, so results stay bit-identical; only conflict
     *detection* narrows, to the probes actually made (the documented
     precondition — consistent inputs — is unaffected).
-
-    ``capture``, when a dict, receives the full pre-consolidation
-    ``candidates`` / ``truths`` lists — the state the delta-refresh
-    path of :mod:`repro.core.views` patches incrementally.
     """
     with _span("algebra.pointwise", inputs=len(evaluators)) as sp:
         sweep = pointwise_sweep(
@@ -216,9 +211,6 @@ def _pointwise(
             hierarchy_sweeps=sweep.hierarchy_sweeps,
             fused=sweep.fused,
         )
-        if capture is not None:
-            capture["candidates"] = sweep.candidates
-            capture["truths"] = sweep.truths
         out = HRelation(schema, name=name, strategy=strategy)
         out.load_tuples(sweep.emitted)
         if sweep.fused:
@@ -243,7 +235,6 @@ def combine(
     name: str = "combined",
     extra_items: Iterable[Item] = (),
     consolidate: bool = True,
-    capture: Optional[Dict] = None,
     fn_token: Optional[str] = None,
 ) -> HRelation:
     """The pointwise combinator (see module docstring).
@@ -285,7 +276,7 @@ def combine(
         shortcircuit = _SHORTCIRCUIT.get(fn_token) if len(relations) >= 3 else None
         return _pointwise(
             schema, relations[0].strategy, evaluators, fn, name, seeds, consolidate,
-            capture=capture, shortcircuit=shortcircuit,
+            shortcircuit=shortcircuit,
         )
 
 
@@ -296,7 +287,7 @@ def combine(
 
 def union(
     left: HRelation, right: HRelation, name: str | None = None,
-    consolidate: bool = True, capture: Optional[Dict] = None,
+    consolidate: bool = True,
 ) -> HRelation:
     """Flat semantics: an atom satisfies the union iff it satisfies
     either argument ("Jack and Jill between them love")."""
@@ -307,14 +298,13 @@ def union(
             lambda a, b: a or b,
             name=name or "{}_union_{}".format(left.name, right.name),
             consolidate=consolidate,
-            capture=capture,
             fn_token="or",
         )
 
 
 def intersection(
     left: HRelation, right: HRelation, name: str | None = None,
-    consolidate: bool = True, capture: Optional[Dict] = None,
+    consolidate: bool = True,
 ) -> HRelation:
     """Flat semantics: both arguments ("Jack and Jill both love")."""
     _count("intersection")
@@ -324,14 +314,13 @@ def intersection(
             lambda a, b: a and b,
             name=name or "{}_intersect_{}".format(left.name, right.name),
             consolidate=consolidate,
-            capture=capture,
             fn_token="and",
         )
 
 
 def difference(
     left: HRelation, right: HRelation, name: str | None = None,
-    consolidate: bool = True, capture: Optional[Dict] = None,
+    consolidate: bool = True,
 ) -> HRelation:
     """Flat semantics: the left but not the right ("Jack loves but Jill
     does not")."""
@@ -342,7 +331,6 @@ def difference(
             lambda a, b: a and not b,
             name=name or "{}_minus_{}".format(left.name, right.name),
             consolidate=consolidate,
-            capture=capture,
             fn_token="andnot",
         )
 
@@ -357,7 +345,6 @@ def select(
     conditions: Mapping[str, str],
     name: str | None = None,
     consolidate: bool = True,
-    capture: Optional[Dict] = None,
 ) -> HRelation:
     """Selection by class membership: keep the atoms whose value on each
     conditioned attribute lies inside the given class (or equals the
@@ -381,7 +368,6 @@ def select(
             lambda a, b: a and b,
             name or "{}_where".format(relation.name),
             consolidate,
-            capture=capture,
         )
 
 
@@ -412,7 +398,6 @@ def _cone_pointwise(
     fn: Callable[..., bool],
     name: str,
     consolidate: bool,
-    capture: Optional[Dict] = None,
 ) -> HRelation:
     # A selection cone is a one-tuple relation whose truth function is
     # plain subsumption — valid under every strategy — so it is evaluated
@@ -423,8 +408,7 @@ def _cone_pointwise(
     seeds: Set[Item] = set(relation.asserted)
     seeds.update(cones)
     return _pointwise(
-        schema, relation.strategy, evaluators, fn, name, seeds, consolidate,
-        capture=capture,
+        schema, relation.strategy, evaluators, fn, name, seeds, consolidate
     )
 
 

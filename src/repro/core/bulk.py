@@ -479,34 +479,6 @@ def subsumer_masks(schema, items: Sequence[Item]) -> List[int]:
     return out
 
 
-def cover_masks(schema, covers: Sequence[Item], items: Sequence[Item]) -> List[int]:
-    """Per item, the bitset of ``covers`` whose item subsumes it.
-
-    One posting sweep per attribute (seed each cover's bit on its value,
-    :meth:`Hierarchy.downward_union` pushes it over the value's cone)
-    answers every (cover, item) subsumption test at once.  The delta
-    view-refresh path uses this as its changed-cone test: an item lies
-    inside the union of the mutated items' descendant cones iff its
-    mask is non-zero.
-    """
-    postings: List[Dict[str, int]] = []
-    for position, hierarchy in enumerate(schema.hierarchies):
-        seed: Dict[str, int] = {}
-        for i, cover in enumerate(covers):
-            value = cover[position]
-            seed[value] = seed.get(value, 0) | (1 << i)
-        postings.append(hierarchy.downward_union(seed))
-    out: List[int] = []
-    for item in items:
-        mask = postings[0].get(item[0], 0)
-        for position in range(1, len(postings)):
-            if not mask:
-                break
-            mask &= postings[position].get(item[position], 0)
-        out.append(mask)
-    return out
-
-
 def overlap_masks(schema, subjects: Sequence[Item], others: Sequence[Item]) -> List[int]:
     """Per subject, the bitset of ``others`` whose descendant cone can
     intersect the subject's — the AND across attributes of one

@@ -75,8 +75,9 @@ class HRelation:
         #: check last came back empty (see :mod:`repro.core.conflicts`).
         self._consistent_at = None
         #: Recent mutations as ``(version, item)`` pairs; ``item`` is the
-        #: touched item.  Incremental consumers (materialized views, the
-        #: engine query cache) replay it via :meth:`changes_since`.
+        #: touched item.  Incremental consumers (the bulk evaluator's
+        #: advance, the conflict check's cone scope, the planner's
+        #: statistics) replay it via :meth:`changes_since`.
         self._delta_log: List[Tuple[int, Item]] = []
         #: Versions at or below this floor have fallen off the delta log
         #: (capacity trim or an unscoped wipe); ``changes_since`` answers

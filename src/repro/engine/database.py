@@ -10,7 +10,7 @@ from repro.core.relation import HRelation
 from repro.core.schema import RelationSchema
 from repro.core.views import MaterializedView, ViewPlan, ViewRegistry
 from repro.engine.querycache import QueryCache
-from repro.errors import CatalogError
+from repro.errors import CatalogError, SchemaError, UnknownNodeError
 from repro.hierarchy.graph import Hierarchy
 from repro.obs import MetricsRegistry, SlowQueryLog
 
@@ -181,17 +181,28 @@ class HierarchicalDatabase:
 
         ``sources`` are relation *names*, resolved against the catalog
         on every access — so the view tracks DROP + CREATE under the
-        same name instead of pinning a dead object.  Views over the
-        pointwise operators (``select``, ``union``, ``intersection``,
-        ``difference``) refresh incrementally from the sources' delta
-        logs; ``join`` and ``divide`` views recompute fully when stale.
+        same name instead of pinning a dead object.  A stale view
+        recomputes its operator in full on the next read.
+
+        A ``select`` whose conditions name an attribute outside the
+        source's schema raises :class:`SchemaError`, and one naming an
+        unknown node raises :class:`UnknownNodeError`; nothing is
+        recorded.  Snapshot restore, ``LOAD`` and follower adoption come
+        through here too, so a stored bad definition fails there, naming
+        the view.
         """
-        for source in sources:
-            self.relation(source)  # must exist now; resolved again later
+        relations = [self.relation(source) for source in sources]
         resolvers = [
             (lambda n=source: self.relation(n)) for source in sources
         ]
         plan = ViewPlan(op, resolvers, conditions)
+        if plan.conditions:
+            try:
+                relations[0].schema.item_from_mapping(
+                    plan.conditions, default_top=True
+                )
+            except (SchemaError, UnknownNodeError) as exc:
+                raise type(exc)("view {!r}: {}".format(name, exc)) from None
         view = self.views.define(name, plan=plan)
         self.view_definitions[name] = {
             "op": op,

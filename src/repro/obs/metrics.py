@@ -26,7 +26,7 @@ underscores, everything gains a ``repro_`` prefix), and :meth:`rows`
 (aligned name/value pairs for ``STATS;`` and the REPL).
 
 Naming convention (see docs/OBSERVABILITY.md): dotted lower-case
-``layer.noun[.verb]`` — ``querycache.hits``, ``views.refresh.delta``,
+``layer.noun[.verb]`` — ``querycache.hits``, ``views.refresh.full``,
 ``hql.statement.ms``.  Histograms end in a unit suffix (``.ms``).
 """
 

@@ -246,14 +246,38 @@ def test_view_over_a_replaced_pointwise_result_refreshes_in_full(loves):
         select(slot["source"], {"creature": "penguin"})
     )
     # Rebind the source name to a fresh pointwise result that stores one
-    # tuple more, so its version runs past the view's cursor: per-tuple
-    # emission left a delta log that answered "one item changed" here.
+    # tuple more, so its version runs past the old source's.
     jill.assert_item(("paul",), truth=False)
+    stale_version = slot["source"].version
     slot["source"] = union(jack, jill)
     replaced = slot["source"]
-    assert replaced.version > view._cursors[0]
+    assert replaced.version > stale_version
     assert view.relation().same_tuples_as(select(replaced, {"creature": "penguin"}))
-    assert (view.refresh_count, view.delta_refresh_count) == (2, 0)
+    assert view.refresh_count == 2
+
+
+def test_view_over_an_equal_version_replacement_refreshes(loves):
+    from repro.core.views import MaterializedView, ViewPlan
+
+    jack, jill = loves.jack_loves, loves.jill_loves
+    slot = {"source": intersection(jack, jill)}
+    view = MaterializedView(
+        "penguin_lovers",
+        plan=ViewPlan(
+            "select", [lambda: slot["source"]], conditions={"creature": "penguin"}
+        ),
+    )
+    before = view.relation()
+    # A fresh object with other tuples that a snapshot restore stamped
+    # with the old source's version: only its identity differs.
+    replaced = union(jack, jill)
+    replaced.load_tuples(list(replaced.asserted.items()), version=slot["source"].version)
+    slot["source"] = replaced
+    expected = select(replaced, {"creature": "penguin"})
+    assert not before.same_tuples_as(expected)
+    assert view.is_stale()
+    assert view.relation().same_tuples_as(expected)
+    assert view.refresh_count == 2
 
 
 # ----------------------------------------------------------------------

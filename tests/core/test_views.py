@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core import (
+    NO_PREEMPTION,
+    OFF_PATH,
+    ON_PATH,
     HRelation,
     MaterializedView,
     ViewPlan,
@@ -11,6 +14,7 @@ from repro.core import (
     union,
 )
 from repro.errors import ViewError
+from repro.hierarchy import Hierarchy
 
 
 @pytest.fixture
@@ -45,8 +49,8 @@ class TestMaterializedView:
             "pamela",
             "patricia",
         ]
-        # A plan view patches a source mutation in place.
-        assert (flyers_view.refresh_count, flyers_view.delta_refresh_count) == (1, 1)
+        # One recompute per read after a change, none while fresh.
+        assert flyers_view.refresh_count == 2
 
     def test_refreshed_after_hierarchy_mutation(self, flying, flyers_view):
         flyers_view.relation()
@@ -122,12 +126,11 @@ class TestViewPlan:
         with pytest.raises(ValueError):
             ViewPlan("teleport", [flying.flies, flying.flies])
 
-    def test_join_not_delta_capable(self, flying):
-        assert not ViewPlan("join", [flying.flies, flying.flies]).delta_capable
-        assert ViewPlan("select", [flying.flies], {"creature": "bird"}).delta_capable
-
 
 class TestDeltaRefresh:
+    """A read after source changes (a delta) recomputes the plan in
+    full, once, and matches the operator run directly."""
+
     @pytest.fixture
     def plan_view(self, flying):
         return MaterializedView(
@@ -139,12 +142,33 @@ class TestDeltaRefresh:
         direct = select(flying.flies, {"creature": "penguin"})
         assert sorted(plan_view.extension()) == sorted(direct.extension())
 
-    def test_single_tuple_churn_patches_in_place(self, flying, plan_view):
+    def test_single_tuple_churn_recomputes_once(self, flying, plan_view):
         plan_view.relation()
         flying.flies.retract(("peter",))
         assert sorted(x[0] for x in plan_view.extension()) == ["pamela", "patricia"]
-        assert plan_view.delta_refresh_count == 1
-        assert plan_view.refresh_count == 1  # no second full recompute
+        assert sorted(x[0] for x in plan_view.extension()) == ["pamela", "patricia"]
+        assert plan_view.refresh_count == 2
+
+    @pytest.mark.parametrize(
+        "strategy", [OFF_PATH, ON_PATH, NO_PREEMPTION], ids=lambda s: s.name
+    )
+    def test_every_read_after_a_change_recomputes(self, strategy):
+        hierarchy = Hierarchy("things", root="thing")
+        hierarchy.add_class("bird", parents=["thing"])
+        hierarchy.add_class("penguin", parents=["bird"])
+        for i in range(3):
+            hierarchy.add_instance("p{}".format(i), parents=["penguin"])
+        relation = HRelation([("creature", hierarchy)], name="r", strategy=strategy)
+        relation.assert_item(("bird",), truth=True)
+        view = MaterializedView(
+            "in_bird", plan=ViewPlan("select", [relation], {"creature": "bird"})
+        )
+        for i in range(3):
+            relation.assert_item(("p{}".format(i),), truth=False)
+            expected = sorted(select(relation, {"creature": "bird"}).extension())
+            assert sorted(view.extension()) == expected
+            assert sorted(view.extension()) == expected  # served fresh
+        assert view.refresh_count == 3
 
     def test_delta_matches_full_recompute(self, flying, plan_view):
         plan_view.relation()
@@ -153,7 +177,7 @@ class TestDeltaRefresh:
         patched = sorted(plan_view.extension())
         fresh = sorted(select(flying.flies, {"creature": "penguin"}).extension())
         assert patched == fresh
-        assert plan_view.delta_refresh_count == 1
+        assert plan_view.refresh_count == 2
 
     def test_hierarchy_mutation_forces_full_recompute(self, flying, plan_view):
         """A class added under a cached cone is invisible to the delta
@@ -162,7 +186,6 @@ class TestDeltaRefresh:
         flying.animal.add_instance("percy", parents=["amazing_flying_penguin"])
         assert plan_view.is_stale()
         assert ("percy",) in set(plan_view.extension())
-        assert plan_view.delta_refresh_count == 0
         assert plan_view.refresh_count == 2
 
     def test_join_plan_always_full(self, school):
@@ -172,7 +195,6 @@ class TestDeltaRefresh:
         view.relation()
         school.respects.assert_item(("john", "bill"), truth=True)
         view.relation()
-        assert view.delta_refresh_count == 0
         assert view.refresh_count == 2
 
     def test_union_plan_delta(self, loves):
@@ -185,7 +207,7 @@ class TestDeltaRefresh:
         assert patched == sorted(
             union(loves.jack_loves, loves.jill_loves).extension()
         )
-        assert view.delta_refresh_count == 1
+        assert view.refresh_count == 2
 
 
 class TestViewRegistry:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import CatalogError, InconsistentRelationError
+from repro.errors import (
+    CatalogError,
+    InconsistentRelationError,
+    SchemaError,
+    UnknownNodeError,
+)
 from repro.core import ON_PATH
 from repro.engine import HierarchicalDatabase
 
@@ -144,6 +149,38 @@ class TestDatabaseViews:
         db.drop_relation("flies")
         db.create_relation("flies", [("creature", "animal")])
         assert list(view.extension()) == []  # resolved by name, not object
+
+    def test_view_follows_a_recreate_at_an_equal_version(self, db):
+        """The recreated source reaches the dropped one's version, so
+        only the object's identity tells the view its cache is stale."""
+        db.hierarchy("animal").add_instance("polly", parents=["bird"])
+        db.insert("flies", ("bird",))
+        view = db.define_view(
+            "birds_that_fly", "select", ["flies"], {"creature": "bird"}
+        )
+        assert sorted(view.extension()) == [("penguin",), ("polly",), ("tweety",)]
+        db.drop_relation("flies")
+        db.create_relation("flies", [("creature", "animal")])
+        db.insert("flies", ("tweety",))
+        assert db.relation("flies").version == 1
+        assert view.is_stale()
+        assert sorted(view.extension()) == [("tweety",)]
+
+    @pytest.mark.parametrize(
+        "conditions, error, message",
+        [
+            ({"zz": "bird"}, SchemaError, "unknown attributes"),
+            ({"creature": "nope"}, UnknownNodeError, "unknown node 'nope'"),
+        ],
+        ids=["attribute", "node"],
+    )
+    def test_select_over_unknown_names_rejected_at_definition(
+        self, db, conditions, error, message
+    ):
+        with pytest.raises(error, match="view 'v': " + message):
+            db.define_view("v", "select", ["flies"], conditions)
+        assert "v" not in db.views
+        assert db.view_definitions == {}
 
     def test_define_requires_existing_sources(self, db):
         with pytest.raises(CatalogError):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.engine import HierarchicalDatabase, load_database, save_database
 from repro.engine.storage import database_from_dict, database_to_dict
 
@@ -161,6 +161,17 @@ class TestViews:
             "conditions": {},
         }
         assert loaded.view("movers").relation().truth_of(("penguin",)) is True
+
+    def test_stored_select_over_an_unknown_attribute_fails_naming_the_view(
+        self, db, tmp_path
+    ):
+        db.define_view("grounded", "select", ["flies"], {"creature": "penguin"})
+        payload = database_to_dict(db)
+        payload["views"][0]["conditions"] = {"zz": "penguin"}
+        path = tmp_path / "bad_view.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="view 'grounded'"):
+            load_database(str(path))
 
     def test_version_1_files_still_load(self, db, tmp_path):
         """Format v2 added the views list; v1 payloads (no such key)

@@ -67,14 +67,31 @@ class TestNoKnobComesBack:
 
     def test_one_binding_engine(self):
         """Every truth question reads the relation's evaluator: no second
-        posting structure, no size threshold choosing between them, no
-        per-item fork in the view refresh."""
+        posting structure, no size threshold choosing between them, and
+        one view refresh path (recompute) with no limit steering it and
+        no candidate capture threaded through the algebra."""
+        import inspect
+
         import repro.core
-        from repro.core.views import MaterializedView
+        import repro.core.bulk
+        from repro.core import algebra
+        from repro.core.views import MaterializedView, ViewPlan
 
         assert not hasattr(repro.core.HRelation, "index_threshold")
-        assert not hasattr(MaterializedView, "delta_pointwise_limit")
         assert not hasattr(repro.core, "BinderIndex")
+        for gone in (
+            "delta_pointwise_limit", "delta_change_limit", "pool_growth_limit",
+            "delta_refresh_count",
+        ):
+            assert not hasattr(MaterializedView, gone), gone
+        unresolved = ViewPlan("union", [lambda: None, lambda: None])
+        assert not hasattr(MaterializedView("v", unresolved), "delta_refresh_count")
+        assert not hasattr(repro.core.bulk, "cover_masks")
+        for fn in (
+            algebra.union, algebra.intersection, algebra.difference,
+            algebra.select, algebra.combine,
+        ):
+            assert "capture" not in inspect.signature(fn).parameters, fn.__name__
 
     def test_planner_decides_nothing(self):
         """No plan, no estimate, no settable value: ``repro.planner``
