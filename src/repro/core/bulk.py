@@ -60,9 +60,8 @@ while a transaction advances its staged copy — never sees it change.
 
 A retracted tuple's bit slot goes on a free list and the next asserted
 tuple takes it: the widest mask never exceeds the high-water mark of
-stored tuples, however long the relation churns.  Slots therefore stop
-following insertion order (:meth:`BulkEvaluator.in_row_order` tells; a
-checkpoint persists row-ordered postings only).
+stored tuples, however long the relation churns.  Slots are private to
+the evaluator: nothing outside it, and nothing on disk, reads them.
 
 The full sweep is still what runs when the delta cannot say what
 changed: the first read of a relation, a hierarchy edit (every cone may
@@ -112,13 +111,12 @@ class BulkEvaluator:
     # CPython then serves every attribute read of the copy from the slow
     # path — measured at +30 % on ``truth`` over a whole hierarchy.
     __slots__ = (
-        "relation", "strategy", "key", "_product", "_asserted", "_items", "_free",
+        "strategy", "key", "_product", "_asserted", "_items", "_free",
         "_pos", "_neg", "_frontier_binds", "_minimal_exact", "_postings", "_above",
     )
 
-    def __init__(self, relation, strategy=None, *, postings=None) -> None:
+    def __init__(self, relation, strategy=None) -> None:
         chosen = strategy if strategy is not None else relation.strategy
-        self.relation = relation
         self.strategy = chosen
         schema = relation.schema
         product = schema.product
@@ -143,18 +141,12 @@ class BulkEvaluator:
             chosen.name == "off-path" and not product.needs_elimination_binding()
         )
         self._postings: List[Dict[str, int]] = []
-        if postings is not None:
-            # Precomputed tables (binary snapshot recovery): trusted
-            # verbatim, so loading skips the subsumption sweep — the
-            # whole point of persisting them.
-            self._postings = [dict(table) for table in postings]
-        else:
-            for position, hierarchy in enumerate(schema.hierarchies):
-                seed: Dict[str, int] = {}
-                for i, item in enumerate(self._items):
-                    value = item[position]
-                    seed[value] = seed.get(value, 0) | (1 << i)
-                self._postings.append(hierarchy.downward_union(seed))
+        for position, hierarchy in enumerate(schema.hierarchies):
+            seed: Dict[str, int] = {}
+            for i, item in enumerate(self._items):
+                value = item[position]
+                seed[value] = seed.get(value, 0) | (1 << i)
+            self._postings.append(hierarchy.downward_union(seed))
         # Strict asserted subsumers per stored tuple, filled lazily:
         # only queries that reach the minimality check pay for them.
         self._above: List[Optional[int]] = [None] * len(self._items)
@@ -162,17 +154,6 @@ class BulkEvaluator:
     # ------------------------------------------------------------------
     # advancing
     # ------------------------------------------------------------------
-
-    def rebound(self, relation) -> "BulkEvaluator":
-        """This snapshot attached to ``relation`` — a copy of the
-        relation it was built for, holding the same tuples.
-        :meth:`in_row_order` reads ``self.relation``, so an evaluator
-        must never be attached to one relation and read another."""
-        out = BulkEvaluator.__new__(BulkEvaluator)
-        for name in BulkEvaluator.__slots__:
-            setattr(out, name, getattr(self, name))
-        out.relation = relation
-        return out
 
     def advanced(self, relation, changed: Iterable[Item]) -> "BulkEvaluator":
         """A new evaluator for ``relation``, which continues the history
@@ -187,7 +168,9 @@ class BulkEvaluator:
         slot, a sign flip swaps the bit between the sign masks.  ``self``
         is left untouched and keeps answering for the old state.
         """
-        out = self.rebound(relation)
+        out = BulkEvaluator.__new__(BulkEvaluator)
+        for name in BulkEvaluator.__slots__:
+            setattr(out, name, getattr(self, name))
         out.key = (self.strategy.name, relation.version, self._product.version)
         out._asserted = asserted = dict(self._asserted)
         out._items = items = list(self._items)
@@ -235,13 +218,6 @@ class BulkEvaluator:
         out._neg = neg
         out._above = [None] * len(items)
         return out
-
-    def in_row_order(self) -> bool:
-        """True iff bit *i* is row *i* of ``relation.asserted`` — what a
-        fresh build gives and a persisted posting table must have.
-        Advancing breaks it as soon as a slot is reused or a tuple is
-        re-asserted (its row moves to the end, its slot stays)."""
-        return self._items == list(self.relation.asserted)
 
     # ------------------------------------------------------------------
     # masks
@@ -385,9 +361,7 @@ class BulkEvaluator:
         return [HTuple(item, self._asserted[item]) for item in items]
 
     def __repr__(self) -> str:
-        return "BulkEvaluator({!r}, {} tuples, {})".format(
-            getattr(self.relation, "name", "?"), len(self._asserted), self.strategy
-        )
+        return "BulkEvaluator({} tuples, {})".format(len(self._asserted), self.strategy)
 
 
 class ProjectedEvaluator:
@@ -548,9 +522,7 @@ def evaluator_for(relation, strategy=None) -> BulkEvaluator:
 
 
 def build_evaluator(relation, strategy=None) -> BulkEvaluator:
-    """Sweep ``relation`` from scratch and memoise the result on it —
-    the evaluator is in row order (:meth:`BulkEvaluator.in_row_order`)
-    whatever slots the one it replaces had handed out."""
+    """Sweep ``relation`` from scratch and memoise the result on it."""
     chosen = strategy if strategy is not None else relation.strategy
     _obs.default_registry().counter("bulk.evaluator.builds").inc()
     with _obs.span(

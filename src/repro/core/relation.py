@@ -142,9 +142,9 @@ class HRelation:
         Replaces the stored tuples wholesale without per-item schema
         checks (the pairs came out of a snapshot this schema wrote) and
         without per-item version bumps.  ``version`` restores the
-        counter the snapshot recorded — it must match for memo keys
-        (bulk evaluators, query-cache stamps) rebuilt from the same
-        snapshot to line up — and the delta floor advances to it, so
+        counter the snapshot recorded, so a relation reads the same
+        version after a restart as before it (no memo keyed on it
+        outlives the process), and the delta floor advances to it, so
         incremental consumers see "history unavailable" rather than a
         bogus empty delta.
         """
@@ -247,17 +247,16 @@ class HRelation:
         as a *continuation* of its history: version stamps stay
         monotonic (query-cache keys cannot collide with the original's)
         and ``changes_since`` keeps working across the swap.  So do the
-        memoised bulk evaluator (rebound to the copy, which then advances
-        it by its own writes instead of sweeping from cold) and the
-        conflict-free stamp.
+        memoised bulk evaluator (an immutable snapshot, shared as it is;
+        the copy then advances it by its own writes instead of sweeping
+        from cold) and the conflict-free stamp.
         """
         out = HRelation(self.schema, name=name or self.name, strategy=self.strategy)
         out._tuples = dict(self._tuples)
         out._version = self._version
         out._delta_log = list(self._delta_log)
         out._delta_floor = self._delta_floor
-        if self._bulk_eval is not None:
-            out._bulk_eval = self._bulk_eval.rebound(out)
+        out._bulk_eval = self._bulk_eval
         out._consistent_at = self._consistent_at
         return out
 

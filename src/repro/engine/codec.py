@@ -2,14 +2,18 @@
 
 Every byte that crosses a process boundary used to be JSON.  This
 module is the binary alternative, negotiated at hello time on the wire
-(JSON v1 stays the fallback) and selected per data directory for
+(JSON v1 stays the fallback) and the only format of a server's
 snapshots.  The shape follows the typed-domain column treatment of the
 two-level concept-oriented model: values live in per-attribute
 *dictionary columns* (each distinct node name stored once, rows as
-fixed-width id arrays), and truth signs / posting sets travel as plain
-bitsets serialised with ``int.to_bytes`` — exactly the masks the bulk
-evaluator computes, so recovery can load them directly instead of
-re-deriving the subsumption sweep.
+fixed-width id arrays), and truth signs travel as plain bitsets.
+
+A snapshot holds the data and nothing derived from it: the catalog,
+each relation's stored tuples and their signs, and the view
+definitions.  Every binding structure is rebuilt from those by the
+ordinary sweep the first time something reads the relation.  Snapshots
+written before this rule carry per-relation ``postings`` block indexes;
+nothing reads them.
 
 Container layout (both wire messages and snapshot files)::
 
@@ -18,7 +22,7 @@ Container layout (both wire messages and snapshot files)::
 
 The *envelope* is ordinary JSON carrying everything small (names,
 schemas, checkpoint stamps); the *blocks* carry everything bulky (row
-columns, sign bitsets, posting masks).  A wire message embeds
+columns, sign bitsets).  A wire message embeds
 :class:`Columnar` markers where row data sits; :func:`encode_message`
 lifts them into blocks and :func:`decode_message` splices the decoded
 rows back, so a binary response decodes to the **same dict shape** as
@@ -37,7 +41,7 @@ import sys
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ProtocolError, StorageError
+from repro.errors import ProtocolError, ReproError, StorageError
 
 #: First bytes of a binary wire-message body.  JSON bodies start with
 #: ``{`` (0x7b), so one prefix comparison classifies a frame.
@@ -192,7 +196,7 @@ def unpack_row_tuples(block: bytes) -> List[Tuple[str, ...]]:
 
 def pack_signs(truths: Sequence[bool]) -> bytes:
     """The positive-sign bitset of a row sequence (bit *i* = row *i*,
-    little-endian bytes — the same layout as :func:`mask_to_bytes`)."""
+    little-endian bytes)."""
     out = bytearray((len(truths) + 7) // 8 or 1)
     for i, truth in enumerate(truths):
         if truth:
@@ -214,62 +218,6 @@ def unpack_signs(block: bytes, count: int) -> List[bool]:
     if len(truths) < count:
         truths.extend([False] * (count - len(truths)))
     return truths[:count]
-
-
-# ----------------------------------------------------------------------
-# posting blocks
-# ----------------------------------------------------------------------
-
-
-def mask_to_bytes(mask: int) -> bytes:
-    """A posting / sign bitset as little-endian ``int.to_bytes``;
-    zero-width masks become one zero byte so the round-trip stays
-    total."""
-    return mask.to_bytes(max(1, (mask.bit_length() + 7) // 8), "little")
-
-
-def mask_from_bytes(data: bytes) -> int:
-    """Inverse of :func:`mask_to_bytes`."""
-    return int.from_bytes(data, "little")
-
-
-def pack_postings(table: Dict[str, int]) -> bytes:
-    """One attribute's posting table (node name -> stored-tuple bitset).
-
-    Zero masks are dropped — ``applicable_mask`` treats an absent node
-    and a zero mask identically.  Entries keep the table's own order: a
-    swept table is keyed in the hierarchy's topological order, the
-    loaded one then is too, and ``mixed_sign_items`` hands its walk of
-    the table to a topological sort (a ``CONFLICTS`` scan ran 6 % slower
-    over name-sorted tables).  The same build still gives the same
-    bytes.
-    """
-    entries = [(name, mask) for name, mask in table.items() if mask]
-    parts = [_U32.pack(len(entries))]
-    for name, mask in entries:
-        raw = name.encode("utf-8")
-        payload = mask_to_bytes(mask)
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-        parts.append(_U32.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def unpack_postings(block: bytes) -> Dict[str, int]:
-    (count,) = _U32.unpack_from(block, 0)
-    offset = 4
-    table: Dict[str, int] = {}
-    for _ in range(count):
-        (name_len,) = _U32.unpack_from(block, offset)
-        offset += 4
-        name = block[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (mask_len,) = _U32.unpack_from(block, offset)
-        offset += 4
-        table[name] = mask_from_bytes(block[offset : offset + mask_len])
-        offset += mask_len
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -385,28 +333,11 @@ def is_binary_body(body: bytes) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _relation_postings(relation) -> List[Dict[str, int]]:
-    """The relation's per-attribute posting tables, building the bulk
-    evaluator if needed (which also warms the serving cache).
-
-    Recovery trusts bit *i* to be row *i* of the stored tuples, and an
-    evaluator advanced through retractions has reused slots: that one is
-    swept afresh here (a checkpoint is O(relation) anyway)."""
-    from repro.core import bulk as _bulk
-
-    evaluator = _bulk.evaluator_for(relation)
-    if not evaluator.in_row_order():
-        evaluator = _bulk.build_evaluator(relation)
-    return evaluator._postings
-
-
 def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
     """The whole database as one ``snapshot.bin`` byte string.
 
     Carries everything :func:`repro.engine.storage.database_to_dict`
-    carries plus, per relation, the version counters and posting
-    bitsets needed to rebuild a warm :class:`~repro.core.bulk.
-    BulkEvaluator` at recovery without re-running the sweep.
+    carries plus the hierarchy and relation version counters.
     """
     blocks: List[bytes] = []
     hierarchies = []
@@ -443,10 +374,6 @@ def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
         blocks.append(pack_rows(items, len(relation.schema.attributes)))
         entry["signs"] = len(blocks)
         blocks.append(pack_signs(truths))
-        entry["postings"] = []
-        for table in _relation_postings(relation):
-            entry["postings"].append(len(blocks))
-            blocks.append(pack_postings(table))
         relations.append(entry)
     views = [
         {
@@ -484,13 +411,13 @@ def decode_snapshot(data: bytes):
     """Rebuild ``(database, envelope)`` from :func:`encode_snapshot`.
 
     The rebuild is the trusted bulk path throughout: hierarchies load
-    their node tables without per-node validation, relations load their
-    tuple dicts without per-item schema checks, and stored posting
-    bitsets pre-warm each relation's bulk evaluator — the version
-    counters are restored too, so the evaluator key matches exactly
-    what :func:`~repro.core.bulk.evaluator_for` would compute.
+    their node tables without per-node validation and relations load
+    their tuple dicts without per-item schema checks.  No evaluator is
+    built here; each relation sweeps at its first read.  A
+    :class:`~repro.errors.ReproError` raised while rebuilding (a view
+    over an unknown node, say) is a fact about the data, not damage to
+    the file, and passes through as it would from the JSON reader.
     """
-    from repro.core.bulk import BulkEvaluator
     from repro.core.preemption import STRATEGIES
     from repro.engine.database import HierarchicalDatabase
     from repro.hierarchy.graph import Hierarchy
@@ -537,13 +464,6 @@ def decode_snapshot(data: bytes):
             relation.load_tuples(
                 zip(items, truths), version=int(spec.get("version", count))
             )
-            indexes = spec.get("postings")
-            if indexes is not None:
-                postings = [unpack_postings(blocks[i]) for i in indexes]
-                evaluator = BulkEvaluator(
-                    relation, relation.strategy, postings=postings
-                )
-                relation._bulk_eval = evaluator
         for spec in envelope.get("views", ()):
             database.define_view(
                 spec["name"],
@@ -551,6 +471,8 @@ def decode_snapshot(data: bytes):
                 list(spec.get("sources", ())),
                 spec.get("conditions") or None,
             )
+    except ReproError:
+        raise
     except (KeyError, IndexError, TypeError, ValueError, struct.error) as exc:
         raise StorageError("corrupt binary snapshot: {}".format(exc)) from None
     return database, envelope

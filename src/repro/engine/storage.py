@@ -220,9 +220,8 @@ def read_bytes(path: str) -> bytes:
 def save_database(database, path: str, extra: Optional[Dict[str, Any]] = None) -> None:
     """Write the database to ``path`` crash-safely (temp file in the
     same directory + fsync + ``os.replace``).  ``extra`` keys are merged
-    into the payload top level — the server's recovery manager stamps
-    its checkpoint generation this way; :func:`database_from_dict`
-    ignores keys it does not know."""
+    into the payload top level; :func:`database_from_dict` ignores keys
+    it does not know."""
     payload = database_to_dict(database)
     if extra:
         payload.update(extra)
@@ -237,8 +236,8 @@ def load_database(path: str):
 
 
 def read_payload(path: str) -> Dict[str, Any]:
-    """The raw JSON payload of a saved database (recovery reads this
-    directly to see checkpoint stamps before rebuilding objects)."""
+    """The raw JSON payload of a saved database, before any object is
+    rebuilt from it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)

@@ -9,7 +9,7 @@ socket.
 
 :class:`LeaderLink` speaks the ``replicate`` verb over one ordinary
 protocol-v2 connection (``hello`` → position exchange, ``snapshot`` →
-the leader's on-disk snapshot bytes, ``poll`` → the next entry batch,
+the leader's ``snapshot.bin`` bytes, ``poll`` → the next entry batch,
 long-polled server-side).  The link is deliberately dumb: it moves
 frames and decodes snapshots; all position/retry/resync policy lives in
 the server's follower task (:mod:`repro.server.replication`), where it
@@ -23,7 +23,6 @@ import base64
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine import codec
-from repro.engine.storage import database_from_dict
 from repro.errors import ProtocolError, ReplicationError
 from repro.server import protocol
 
@@ -53,10 +52,10 @@ def decode_snapshot_payload(payload: Dict[str, Any]):
     """A shipped snapshot back into ``(database, checkpoint)``.
 
     ``payload`` is the ``snapshot`` object of a snapshot response:
-    ``format`` names the encoding of the base64 ``data`` bytes —
-    ``binary`` (``snapshot.bin``), ``json`` (``snapshot.json``), or
-    ``none`` for a leader that has never checkpointed (the follower
-    starts from an empty database and replays the whole journal).
+    ``format`` is ``binary`` (base64 ``snapshot.bin`` bytes in
+    ``data``), or ``none`` for a leader that has never checkpointed (the
+    follower starts from an empty database and replays the whole
+    journal).
     """
     fmt = payload.get("format")
     checkpoint = int(payload.get("checkpoint", 0))
@@ -68,11 +67,6 @@ def decode_snapshot_payload(payload: Dict[str, Any]):
     if fmt == codec.FORMAT_BINARY:
         database, envelope = codec.decode_snapshot(raw)
         return database, int(envelope.get("checkpoint", checkpoint))
-    if fmt == codec.FORMAT_JSON:
-        import json
-
-        loaded = json.loads(raw.decode("utf-8"))
-        return database_from_dict(loaded), int(loaded.get("checkpoint", checkpoint))
     raise ReplicationError("leader shipped unknown snapshot format {!r}".format(fmt))
 
 

@@ -3,7 +3,6 @@
 A served database lives in one *data directory*::
 
     <data_dir>/snapshot.bin    binary columnar snapshot (format v2)
-    <data_dir>/snapshot.json   JSON snapshot (format v1; read, never written)
     <data_dir>/oplog.hql       HQL journal of statements since the snapshot
 
 Boot (:meth:`RecoveryManager.recover`) loads the latest snapshot, then
@@ -12,14 +11,13 @@ the journal, and once :attr:`snapshot_interval` statements accumulate
 the server takes a *checkpoint* — a fresh snapshot plus a rotated
 (emptied) journal — bounding both recovery time and log growth.
 
-A checkpoint always writes ``snapshot.bin``.  Recovery reads whichever
-file exists, so a directory written by a v1 server boots and is
-upgraded by its next checkpoint; when *both* exist — a crash between
-writing ``snapshot.bin`` and unlinking the v1 file — the higher
-checkpoint generation wins, and the usual stamp comparison against the
-journal marker below handles the rest.  The binary format additionally
-persists each relation's posting bitsets, so recovery skips the
-subsumption sweep entirely.
+The snapshot holds the catalog, the stored tuples and their signs, and
+nothing derived from them (:mod:`repro.engine.codec`): each relation's
+evaluator is swept the first time something reads it.  A directory
+that holds only a v1 ``snapshot.json`` is refused with a
+:class:`~repro.errors.StorageError` naming the file and the way to
+upgrade it; a ``snapshot.json`` next to a ``snapshot.bin`` is a stale
+leftover of that upgrade and is ignored.
 
 Crash-safety of the checkpoint itself
 -------------------------------------
@@ -29,8 +27,7 @@ together, so each snapshot carries a monotonically increasing
 ``-- checkpoint <n>`` marker naming the snapshot it continues:
 
 1. write ``snapshot.bin`` crash-safely (temp file + fsync +
-   ``os.replace``) stamped with generation *n*, and best-effort unlink
-   a v1 ``snapshot.json`` (now stale);
+   ``os.replace``) stamped with generation *n*;
 2. reset ``oplog.hql`` to just the marker ``-- checkpoint <n>``.
 
 On recovery the two stamps are compared.  Equal (or both absent):
@@ -46,19 +43,14 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from repro.engine import codec
 from repro.engine.database import HierarchicalDatabase
 from repro.engine.oplog import OperationLog
-from repro.engine.storage import (
-    database_from_dict,
-    read_binary_snapshot,
-    read_bytes,
-    read_payload,
-    save_database_binary,
-)
+from repro.engine.storage import read_binary_snapshot, save_database_binary
+from repro.errors import StorageError
 
-SNAPSHOT_FILE = "snapshot.json"
-SNAPSHOT_FILE_BIN = "snapshot.bin"
+SNAPSHOT_FILE = "snapshot.bin"
+#: What a server wrote before the binary format; refused at boot.
+V1_SNAPSHOT_FILE = "snapshot.json"
 OPLOG_FILE = "oplog.hql"
 
 
@@ -84,7 +76,6 @@ class RecoveryManager:
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
         self.snapshot_path = os.path.join(data_dir, SNAPSHOT_FILE)
-        self.snapshot_path_bin = os.path.join(data_dir, SNAPSHOT_FILE_BIN)
         self.journal = OperationLog(os.path.join(data_dir, OPLOG_FILE), fsync=fsync)
         self.snapshot_interval = snapshot_interval
         self.name = name
@@ -101,52 +92,29 @@ class RecoveryManager:
     # boot
     # ------------------------------------------------------------------
 
-    def _pick_snapshot(self) -> Optional[str]:
-        """Which on-disk snapshot to recover from: the only one present,
-        or — when both formats exist — the higher checkpoint stamp
-        (ties go to binary: richer, and stamped-equal means same
-        contents)."""
-        has_bin = os.path.exists(self.snapshot_path_bin)
-        has_json = os.path.exists(self.snapshot_path)
-        if has_bin and not has_json:
-            return codec.FORMAT_BINARY
-        if has_json and not has_bin:
-            return codec.FORMAT_JSON
-        if not has_bin:
-            return None
-        bin_stamp = int(
-            codec.snapshot_envelope(read_bytes(self.snapshot_path_bin)).get(
-                "checkpoint", 0
-            )
-        )
-        json_stamp = int(read_payload(self.snapshot_path).get("checkpoint", 0))
-        return codec.FORMAT_JSON if json_stamp > bin_stamp else codec.FORMAT_BINARY
-
     def recover(self) -> HierarchicalDatabase:
         """Rebuild the database: snapshot, then journal replay (or
         journal discard when the stamps prove it is stale — see the
         module docstring)."""
         info: Dict[str, Any] = {
             "snapshot": False,
-            "format": None,
             "checkpoint": 0,
             "replayed": 0,
             "discarded_stale_log": False,
         }
-        chosen = self._pick_snapshot()
-        if chosen == codec.FORMAT_BINARY:
-            database, envelope = read_binary_snapshot(self.snapshot_path_bin)
+        if os.path.exists(self.snapshot_path):
+            database, envelope = read_binary_snapshot(self.snapshot_path)
             self.checkpoint_id = int(envelope.get("checkpoint", 0))
             info["snapshot"] = True
-            info["format"] = codec.FORMAT_BINARY
             info["checkpoint"] = self.checkpoint_id
-        elif chosen == codec.FORMAT_JSON:
-            payload = read_payload(self.snapshot_path)
-            database = database_from_dict(payload)
-            self.checkpoint_id = int(payload.get("checkpoint", 0))
-            info["snapshot"] = True
-            info["format"] = codec.FORMAT_JSON
-            info["checkpoint"] = self.checkpoint_id
+        elif os.path.exists(os.path.join(self.data_dir, V1_SNAPSHOT_FILE)):
+            raise StorageError(
+                "{} is a v1 JSON snapshot, which this server no longer reads: "
+                "boot the directory once under an earlier release that does, "
+                "and its shutdown checkpoint rewrites it as {}".format(
+                    os.path.join(self.data_dir, V1_SNAPSHOT_FILE), SNAPSHOT_FILE
+                )
+            )
         else:
             database = HierarchicalDatabase(self.name)
         marker = self.journal.checkpoint_marker() or 0
@@ -195,18 +163,9 @@ class RecoveryManager:
         stamp = self.checkpoint_id + 1
         self._journalled_since_attempt = 0
         save_database_binary(
-            database, self.snapshot_path_bin, extra={"checkpoint": stamp}
+            database, self.snapshot_path, extra={"checkpoint": stamp}
         )
         self.checkpoint_id = stamp
-        # A v1 snapshot (if any) now carries an older stamp; drop it
-        # before rotating the journal so a crash anywhere in between
-        # still recovers from the freshest snapshot (both-files recovery
-        # picks the higher stamp, and the stale-journal check handles
-        # the unrotated log).
-        try:
-            os.unlink(self.snapshot_path)
-        except OSError:
-            pass
         self.journal.reset(checkpoint=stamp)
         self._journalled_since_checkpoint = 0
         self.checkpoints += 1

@@ -117,23 +117,17 @@ async def _handle_snapshot(server, leader: LeaderState, request_id) -> Dict[str,
     stamp are mutually consistent."""
     recovery = server.recovery
     async with server.lock.read_locked():
-        fmt = recovery._pick_snapshot()
         snapshot: Dict[str, Any] = {
             "generation": leader.generation,
             "checkpoint": recovery.checkpoint_id,
             "database": server.database.name,
         }
-        if fmt is None:
+        if not os.path.exists(recovery.snapshot_path):
             # Never checkpointed: the journal alone is the whole state.
             snapshot["format"] = "none"
         else:
-            path = (
-                recovery.snapshot_path_bin
-                if fmt == codec.FORMAT_BINARY
-                else recovery.snapshot_path
-            )
-            raw = await asyncio.to_thread(_read_file, path)
-            snapshot["format"] = fmt
+            raw = await asyncio.to_thread(_read_file, recovery.snapshot_path)
+            snapshot["format"] = codec.FORMAT_BINARY
             snapshot["data"] = base64.b64encode(raw).decode("ascii")
     server._m_repl_snapshots.inc()
     return {"id": request_id, "ok": True, "snapshot": snapshot}

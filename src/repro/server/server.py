@@ -14,9 +14,12 @@ never mentions tenants behaves exactly as before.  Concurrency model:
   the statement's mode — shared for reads, exclusive for writes — so
   mutating statements on one tenant serialise, and traffic on
   different tenants never contends at all;
-* a ``TRUTH`` executes synchronously on the event loop: its work is
-  bounded (one postings probe of the memoised evaluator plus at most
-  one delta advance, ~6 µs warm), far below the cost of a thread hop.
+* a ``TRUTH`` executes synchronously on the event loop: warm, its work
+  is one postings probe of the memoised evaluator plus at most one
+  delta advance (~6 µs), far below the cost of a thread hop.  Cold, it
+  is not bounded: the first read of a relation after boot, a hierarchy
+  edit or a ``LOAD`` sweeps the relation's evaluator on the loop
+  (11–14 ms for the benchmark's ``cones`` relation ``left``).
   Every other statement — writes, ``COMMIT``, ``LOAD``, algebra
   reads, ``EXTENSION``, ``JUSTIFY``, ``EXPLAIN`` — and every checkpoint
   executes on a worker thread (``asyncio.to_thread``), because its
@@ -809,9 +812,10 @@ class HQLServer:
                                 recovery.checkpoint_id
                             )
             elif isinstance(statement, ast.Truth):
-                # Bounded work — one postings probe of the memoised
-                # evaluator, at most one delta advance — costs less than
-                # the thread hop, so it answers right here on the loop.
+                # Warm, one postings probe of the memoised evaluator and
+                # at most one delta advance cost less than the thread hop,
+                # so it answers right here on the loop.  Cold (first read
+                # after boot, a hierarchy edit or LOAD) it sweeps here too.
                 async with lock.read_locked():
                     result = session.execute(statement)
             else:

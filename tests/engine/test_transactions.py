@@ -251,7 +251,7 @@ class TestConeScopedCommit:
         session.run("TRUTH left (c1i2);")  # reads (and advances) the staged copy
         staged = session._transaction.relation("left")
         assert bulk.evaluator_for(staged) is not reader
-        assert bulk.evaluator_for(staged).relation is staged
+        assert staged._bulk_eval is bulk.evaluator_for(staged)  # memoised on the copy
         assert bulk.evaluator_for(staged).truth(("c1i2",)) is False
         assert bulk.evaluator_for(base) is reader
         assert [reader.truth_and_binders(item) for item in probes] == before

@@ -3,9 +3,11 @@
 A database rebuilt from its binary snapshot must be *bit-identical* to
 the original wherever the engine can observe: the asserted item → sign
 map, the stored version counters, and every bulk-evaluator posting
-mask.  Posting tables are compared over their nonzero masks — the
-codec deliberately drops zero masks, and ``applicable_mask`` treats an
-absent node and a zero mask identically.
+mask.  The snapshot holds no postings, so the recovered side's masks
+come from a fresh sweep over the recovered tuples; they are compared
+with the original's evaluator over their nonzero masks, because an
+advanced evaluator may keep a zero mask where a sweep has no entry, and
+``applicable_mask`` treats the two identically.
 
 The wire flavour gets the same treatment: any result rows routed
 through the columnar message blocks must decode to the exact JSON
@@ -47,7 +49,7 @@ def test_snapshot_roundtrip_is_bit_identical(relation):
     original_eval = bulk.evaluator_for(relation)
     copy_eval = bulk.evaluator_for(copy)
     assert _nonzero(copy_eval._postings) == _nonzero(original_eval._postings)
-    # And the decoded postings actually answer queries identically.
+    # And the swept postings actually answer queries identically.
     for item in relation.schema.product.all_items():
         assert copy_eval.truth(item) == original_eval.truth(item)
 

@@ -3,14 +3,18 @@
 The codec promises *shape identity*: a message or database encoded to
 the binary container and decoded back must be indistinguishable from
 the JSON path — same dict shapes on the wire, same asserted maps,
-posting masks, versions, and views after a snapshot round-trip.
+versions, and views after a snapshot round-trip.  A snapshot holds
+data only: no posting block is written, none is read, and a recovered
+relation sweeps its evaluator at the first read.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.engine import HierarchicalDatabase, codec
+from repro.engine.storage import database_from_dict, database_to_dict
 from repro.errors import ProtocolError, StorageError
 
 SETUP = """
@@ -84,15 +88,6 @@ class TestColumns:
             block = codec.pack_signs(truths)
             assert codec.unpack_signs(block, len(truths)) == truths
 
-    def test_postings_roundtrip_drops_zero_masks(self):
-        table = {"bird": 0b101, "penguin": 0, "tweety": 1}
-        out = codec.unpack_postings(codec.pack_postings(table))
-        assert out == {"bird": 0b101, "tweety": 1}
-
-    def test_postings_large_masks(self):
-        table = {"n": (1 << 200) | 7}
-        assert codec.unpack_postings(codec.pack_postings(table)) == table
-
 
 class TestMessages:
     def test_message_without_columns_roundtrips(self):
@@ -130,32 +125,11 @@ class TestSnapshot:
         assert recovered.relation("flies").holds("tweety")
         assert not recovered.relation("flies").holds("pingo")
 
-    def test_roundtrip_reuses_preloaded_evaluator(self):
+    def test_preference_edge_relation_recovers(self):
+        """A preference edge changes the binding order: the relation
+        recovered cold sweeps an evaluator that answers like the
+        original's at every item."""
         from repro.core.bulk import evaluator_for
-
-        database = sample_database()
-        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
-        relation = recovered.relation("flies")
-        preloaded = relation._bulk_eval
-        assert preloaded is not None
-        assert evaluator_for(relation) is preloaded
-
-    def test_loaded_postings_keep_topological_order(self):
-        """Nothing re-sweeps a loaded table at the first write any more,
-        so it must arrive keyed like a swept one (not sorted by name)."""
-        database = sample_database()
-        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
-        relation = recovered.relation("flies")
-        order = relation.schema.hierarchies[0].topological_order()
-        (table,) = relation._bulk_eval._postings
-        assert list(table) == [node for node in order if node in table]
-        assert list(table) != sorted(table)
-
-    def test_preference_edge_relation_recovers_prewarmed(self):
-        """A preference edge changes the binding order, not the
-        postings: the snapshot carries them, and the evaluator recovered
-        from them answers like a fresh sweep."""
-        from repro.core.bulk import BulkEvaluator, evaluator_for
 
         database = sample_database()
         database.execute(
@@ -164,35 +138,148 @@ class TestSnapshot:
             "PREFER penguin OVER sick_bird IN animal;"
             "ASSERT flies (sick_bird);"
         )
-        recovered, envelope = codec.decode_snapshot(codec.encode_snapshot(database))
-        (spec,) = envelope["relations"]
-        assert len(spec["postings"]) == 1
+        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
         relation = recovered.relation("flies")
         assert relation.schema.product.has_preference_edges()
-        preloaded = relation._bulk_eval
-        assert preloaded is not None and evaluator_for(relation) is preloaded
-        fresh = BulkEvaluator(relation)
-        assert preloaded._postings == [
-            {node: mask for node, mask in table.items() if mask}
-            for table in fresh._postings
-        ]
+        assert relation._bulk_eval is None
+        original = evaluator_for(database.relation("flies"))
+        swept = evaluator_for(relation)
         for item in relation.schema.product.all_items():
-            assert preloaded.truth_and_binders(item) == fresh.truth_and_binders(item)
+            assert swept.truth_and_binders(item) == original.truth_and_binders(item)
         assert relation.holds("pete") is False  # -penguin preempts +sick_bird
 
     def test_snapshot_without_postings_still_loads(self):
-        """What the parent wrote for a preference-edge relation: no
-        ``postings`` key.  It loads cold and sweeps at the first read."""
-        data = codec.encode_snapshot(sample_database())
-        envelope, blocks = codec.decode_container(data, codec.SNAPSHOT_MAGIC)
-        for spec in envelope["relations"]:
-            del spec["postings"]
-        recovered, _ = codec.decode_snapshot(
-            codec.encode_container(codec.SNAPSHOT_MAGIC, envelope, blocks)
+        """Every relation of every snapshot is written without a
+        ``postings`` key — arity one and two, with and without
+        preference edges, swept or advanced before the write — and is
+        recovered cold: the evaluator is built at the first read."""
+        database = sample_database()
+        database.execute(
+            "CREATE HIERARCHY food;"
+            "CREATE INSTANCE herring IN food;"
+            "CREATE RELATION eats (creature: animal, meal: food);"
+            "ASSERT eats (bird, herring);"
+            "CREATE CLASS sick_bird IN animal UNDER bird;"
+            "PREFER penguin OVER sick_bird IN animal;"
         )
+        database.relation("flies").holds("tweety")  # memoised evaluator
+        database.execute("ASSERT flies (pingo); RETRACT flies (pingo);")  # advanced
+        database.relation("flies").holds("tweety")
+        envelope, _ = codec.decode_container(
+            codec.encode_snapshot(database), codec.SNAPSHOT_MAGIC
+        )
+        assert [spec["name"] for spec in envelope["relations"]] == ["flies", "eats"]
+        for spec in envelope["relations"]:
+            assert "postings" not in spec
+        recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
+        for relation in recovered.relations.values():
+            assert relation._bulk_eval is None
         relation = recovered.relation("flies")
-        assert relation._bulk_eval is None
         assert relation.holds("tweety") and not relation.holds("pingo")
+        assert relation._bulk_eval is not None
+
+    def test_unknown_node_in_view_raises_the_same_error_as_json(self):
+        """A view whose ``select`` names a node the hierarchy lacks is a
+        fact about the data, not a torn file: both readers raise the
+        same typed error with the same message."""
+        database = sample_database()
+        database.define_view("v", "select", ["flies"], {"creature": "bird"})
+        payload = database_to_dict(database)
+        payload["views"][0]["conditions"] = {"creature": "nope"}
+        data = codec.encode_snapshot(database)
+        envelope, blocks = codec.decode_container(data, codec.SNAPSHOT_MAGIC)
+        envelope["views"][0]["conditions"] = {"creature": "nope"}
+        data = codec.encode_container(codec.SNAPSHOT_MAGIC, envelope, blocks)
+        with pytest.raises(Exception) as from_json:
+            database_from_dict(payload)
+        with pytest.raises(Exception) as from_binary:
+            codec.decode_snapshot(data)
+        assert type(from_binary.value) is type(from_json.value)
+        assert str(from_binary.value) == str(from_json.value)
+        assert "unknown node 'nope'" in str(from_binary.value)
+
+    def test_parent_written_snapshot_still_loads(self, tmp_path):
+        """``data/parent_snapshot.bin`` was written by the release that
+        still persisted posting blocks (every relation in it carries a
+        ``postings`` key): the ``flies`` sample, a preference-edge
+        relation and a two-attribute relation.  It was made from a
+        checkout of that release with ``PYTHONPATH=src python make.py
+        parent_snapshot.bin``, where ``make.py`` is::
+
+            import shutil, sys, tempfile
+            from repro.engine.hql import HQLExecutor
+            from repro.server import RecoveryManager
+
+            SCRIPT = \"\"\"
+            CREATE HIERARCHY animal;
+            CREATE CLASS bird IN animal;
+            CREATE CLASS canary IN animal UNDER bird;
+            CREATE CLASS penguin IN animal UNDER bird;
+            CREATE CLASS galapagos_penguin IN animal UNDER penguin;
+            CREATE CLASS amazing_flying_penguin IN animal UNDER penguin;
+            CREATE INSTANCE tweety IN animal UNDER canary;
+            CREATE INSTANCE paul IN animal UNDER galapagos_penguin;
+            CREATE INSTANCE peter IN animal UNDER penguin;
+            CREATE INSTANCE pamela IN animal UNDER amazing_flying_penguin;
+            CREATE INSTANCE patricia IN animal UNDER amazing_flying_penguin, galapagos_penguin;
+            CREATE RELATION flies (creature: animal);
+            ASSERT flies (bird); ASSERT NOT flies (penguin);
+            ASSERT flies (amazing_flying_penguin); ASSERT flies (peter);
+            CREATE HIERARCHY person;
+            CREATE CLASS quaker IN person;
+            CREATE CLASS republican IN person;
+            CREATE INSTANCE nixon IN person UNDER quaker, republican;
+            CREATE INSTANCE penn IN person UNDER quaker;
+            PREFER republican OVER quaker IN person;
+            CREATE RELATION pacifist (who: person);
+            ASSERT pacifist (quaker); ASSERT NOT pacifist (republican);
+            CREATE HIERARCHY food;
+            CREATE CLASS seed IN food;
+            CREATE CLASS fish IN food;
+            CREATE INSTANCE sunflower IN food UNDER seed;
+            CREATE INSTANCE herring IN food UNDER fish;
+            CREATE RELATION eats (creature: animal, meal: food);
+            ASSERT eats (bird, seed); ASSERT NOT eats (penguin, seed);
+            ASSERT eats (penguin, fish); ASSERT eats (tweety, herring);
+            RETRACT eats (tweety, herring); ASSERT NOT eats (paul, fish);
+            \"\"\"
+
+            with tempfile.TemporaryDirectory() as tmp:
+                manager = RecoveryManager(tmp)
+                database = manager.recover()
+                HQLExecutor(
+                    database, log=manager.journal, on_journal=manager.note_journalled
+                ).run(SCRIPT)
+                manager.checkpoint(database)
+                shutil.copyfile(manager.snapshot_path_bin, sys.argv[1])
+        """
+        from repro.core.bulk import BulkEvaluator
+        from repro.server import RecoveryManager
+        from repro.server.recovery import SNAPSHOT_FILE
+
+        data = (Path(__file__).parent / "data" / "parent_snapshot.bin").read_bytes()
+        envelope = codec.snapshot_envelope(data)
+        assert all("postings" in spec for spec in envelope["relations"])
+        (tmp_path / SNAPSHOT_FILE).write_bytes(data)
+
+        manager = RecoveryManager(str(tmp_path))
+        database = manager.recover()
+        assert manager.last_recovery["checkpoint"] == 1
+        assert sorted(database.relations) == ["eats", "flies", "pacifist"]
+        for relation in database.relations.values():
+            assert relation._bulk_eval is None
+            fresh = BulkEvaluator(relation)
+            for item in relation.schema.product.all_items():
+                assert relation.truth_of(item) == fresh.truth(item)
+        assert database.relation("pacifist").schema.product.has_preference_edges()
+        assert database.relation("pacifist").holds("nixon") is False
+        assert database.relation("flies").holds("patricia") is True
+        assert database.relation("eats").holds("paul", "herring") is False
+
+        manager.checkpoint(database)
+        rewritten = codec.snapshot_envelope((tmp_path / SNAPSHOT_FILE).read_bytes())
+        assert rewritten["checkpoint"] == 2
+        assert not any("postings" in spec for spec in rewritten["relations"])
 
     def test_roundtrip_preserves_views_and_extra(self):
         database = sample_database()

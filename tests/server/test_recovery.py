@@ -15,7 +15,7 @@ from repro.engine import codec
 from repro.engine.hql import HQLExecutor
 from repro.engine.storage import save_database, save_database_binary
 from repro.server import RecoveryManager
-from repro.server.recovery import OPLOG_FILE, SNAPSHOT_FILE, SNAPSHOT_FILE_BIN
+from repro.server.recovery import OPLOG_FILE, SNAPSHOT_FILE, V1_SNAPSHOT_FILE
 
 SETUP = """
 CREATE HIERARCHY animal;
@@ -44,7 +44,6 @@ class TestJournalRecovery:
         manager, database, _ = boot(tmp_path)
         assert manager.last_recovery == {
             "snapshot": False,
-            "format": None,
             "checkpoint": 0,
             "replayed": 0,
             "discarded_stale_log": False,
@@ -93,7 +92,7 @@ class TestCheckpoints:
         assert manager.journalled_since_checkpoint == 0
         assert manager.journal.entries() == []  # folded into the snapshot
         assert manager.journal.checkpoint_marker() == 1
-        with open(str(tmp_path / SNAPSHOT_FILE_BIN), "rb") as handle:
+        with open(str(tmp_path / SNAPSHOT_FILE), "rb") as handle:
             assert codec.snapshot_envelope(handle.read())["checkpoint"] == 1
 
     def test_recovery_from_snapshot_plus_tail(self, tmp_path):
@@ -180,7 +179,9 @@ class TestCrashOrderings:
         session.run(SETUP)
         # Step 1 of a checkpoint only: stamp generation 1 and die
         # before the journal rotation.
-        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
+        save_database_binary(
+            database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1}
+        )
         manager2, recovered, _ = boot(tmp_path)
         assert manager2.last_recovery["discarded_stale_log"] is True
         assert manager2.last_recovery["replayed"] == 0
@@ -201,57 +202,69 @@ class TestCrashOrderings:
     def test_corrupt_snapshot_surfaces_as_storage_error(self, tmp_path):
         from repro.errors import StorageError
 
-        (tmp_path / SNAPSHOT_FILE).write_text("{torn write")
+        manager, database, session = boot(tmp_path)
+        session.run(SETUP)
+        manager.checkpoint(database)
+        whole = (tmp_path / SNAPSHOT_FILE).read_bytes()
+        (tmp_path / SNAPSHOT_FILE).write_bytes(whole[: len(whole) // 2])
         with pytest.raises(StorageError):
             boot(tmp_path)
 
 
 class TestSnapshotFormats:
-    """The v1 (JSON) → v2 (binary columnar) snapshot migration paths."""
+    """Recovery reads ``snapshot.bin`` only: a v1 ``snapshot.json`` is
+    refused alone and ignored beside a binary snapshot."""
 
-    def test_v1_snapshot_recovers_and_checkpoint_upgrades_to_v2(self, tmp_path):
-        # A pre-binary data directory: JSON snapshot written by an old
-        # server, plus a journal tail.
+    def test_v1_only_directory_is_refused(self, tmp_path):
+        from repro.errors import StorageError
+
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
         manager.checkpoint(database)
-        # Rewrite it as a plain v1 directory.
-        os.unlink(str(tmp_path / SNAPSHOT_FILE_BIN))
-        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
+        # Rewrite it as a plain v1 directory: JSON snapshot, no binary.
+        os.unlink(str(tmp_path / SNAPSHOT_FILE))
+        save_database(database, str(tmp_path / V1_SNAPSHOT_FILE), extra={"checkpoint": 1})
+        with pytest.raises(StorageError) as caught:
+            boot(tmp_path)
+        message = str(caught.value)
+        assert str(tmp_path / V1_SNAPSHOT_FILE) in message
+        assert "earlier release" in message and SNAPSHOT_FILE in message
+        # The refusal left the directory as it was.
+        assert sorted(os.listdir(str(tmp_path))) == [OPLOG_FILE, V1_SNAPSHOT_FILE]
 
-        manager2, recovered, session2 = boot(tmp_path)
-        assert manager2.last_recovery["format"] == "json"
-        assert recovered.relation("flies").holds("tweety")
-        session2.run("ASSERT flies (pingo);")
-        manager2.checkpoint(recovered)
-        # The checkpoint migrated the directory to the binary format.
-        assert os.path.exists(str(tmp_path / SNAPSHOT_FILE_BIN))
-        assert not os.path.exists(str(tmp_path / SNAPSHOT_FILE))
+    def test_v1_only_tenant_is_quarantined(self, tmp_path):
+        from repro.errors import TenantQuarantinedError
+        from repro.tenants import TenantRegistry
 
-        manager3, reborn, _ = boot(tmp_path)
-        assert manager3.last_recovery["format"] == "binary"
-        assert reborn.relation("flies").holds("pingo")
+        registry = TenantRegistry.durable(str(tmp_path))
+        tenant = registry.create("old")
+        HQLExecutor(tenant.database).run(SETUP)
+        save_database(
+            tenant.database, str(tmp_path / "old" / V1_SNAPSHOT_FILE), extra={"checkpoint": 1}
+        )
+        registry2 = TenantRegistry.durable(str(tmp_path))
+        assert "StorageError" in registry2.tenants["old"].quarantined
+        assert V1_SNAPSHOT_FILE in registry2.tenants["old"].quarantined
+        assert registry2.default.database is not None
+        with pytest.raises(TenantQuarantinedError):
+            registry2.get("old")
 
-    def test_both_files_present_higher_stamp_wins(self, tmp_path):
-        """Crash after writing the new-format snapshot but before
-        unlinking the old one: both files exist and recovery must pick
-        the newer generation, whichever format holds it."""
+    def test_stale_json_next_to_binary_is_ignored(self, tmp_path):
+        """A checkpoint of an earlier release wrote ``snapshot.bin``
+        before unlinking ``snapshot.json``, so a crash in between leaves
+        both, and the binary one is the newer: recovery reads it alone,
+        whatever stamp the JSON file carries."""
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
-        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
+        save_database(database, str(tmp_path / V1_SNAPSHOT_FILE), extra={"checkpoint": 7})
         session.run("ASSERT flies (pingo);")
-        save_database_binary(
-            database, str(tmp_path / SNAPSHOT_FILE_BIN), extra={"checkpoint": 2}
-        )
+        manager.checkpoint(database)
         manager2, recovered, _ = boot(tmp_path)
-        assert manager2.last_recovery["format"] == "binary"
+        assert manager2.last_recovery["checkpoint"] == 1
         assert recovered.relation("flies").holds("pingo")
-
-        # And the mirror image: JSON carries the newer stamp.
-        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 3})
-        manager3, _, _ = boot(tmp_path)
-        assert manager3.last_recovery["format"] == "json"
-        assert manager3.last_recovery["checkpoint"] == 3
+        # Nothing deletes it either; the next checkpoint leaves it be.
+        manager2.checkpoint(recovered)
+        assert os.path.exists(str(tmp_path / V1_SNAPSHOT_FILE))
 
     def test_mid_checkpoint_crash_binary_format(self, tmp_path):
         """Binary flavour of the stale-journal ordering: snapshot.bin
@@ -259,17 +272,17 @@ class TestSnapshotFormats:
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
         save_database_binary(
-            database, str(tmp_path / SNAPSHOT_FILE_BIN), extra={"checkpoint": 1}
+            database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1}
         )
         manager2, recovered, _ = boot(tmp_path)
         assert manager2.last_recovery["discarded_stale_log"] is True
         assert manager2.last_recovery["replayed"] == 0
-        assert manager2.last_recovery["format"] == "binary"
         assert recovered.relation("flies").holds("tweety")
 
     def test_binary_roundtrip_is_bit_identical(self, tmp_path):
-        """The recovered database matches the original tuple-for-tuple,
-        sign-for-sign, and posting-mask-for-posting-mask."""
+        """The recovered database matches the original tuple-for-tuple
+        and sign-for-sign, and its first read sweeps an evaluator that
+        answers like the original's at every item."""
         from repro.core.bulk import evaluator_for
 
         manager, database, session = boot(tmp_path)
@@ -281,9 +294,6 @@ class TestSnapshotFormats:
             copy = recovered.relation(name)
             assert copy.asserted == original.asserted
             assert copy.version == original.version
-            nonzero = lambda tables: [
-                {k: v for k, v in t.items() if v} for t in tables
-            ]
-            assert nonzero(evaluator_for(copy)._postings) == nonzero(
-                evaluator_for(original)._postings
-            )
+            assert copy._bulk_eval is None
+            items = list(original.schema.product.all_items())
+            assert evaluator_for(copy).truths(items) == evaluator_for(original).truths(items)

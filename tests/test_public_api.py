@@ -69,11 +69,14 @@ class TestNoKnobComesBack:
         """Every truth question reads the relation's evaluator: no second
         posting structure, no size threshold choosing between them, and
         one view refresh path (recompute) with no limit steering it and
-        no candidate capture threaded through the algebra."""
+        no candidate capture threaded through the algebra.  Postings are
+        built by the sweep only: no evaluator accepts them from outside,
+        and the codec neither writes nor reads them."""
         import inspect
 
         import repro.core
         import repro.core.bulk
+        import repro.engine.codec
         from repro.core import algebra
         from repro.core.views import MaterializedView, ViewPlan
 
@@ -92,6 +95,10 @@ class TestNoKnobComesBack:
             algebra.select, algebra.combine,
         ):
             assert "capture" not in inspect.signature(fn).parameters, fn.__name__
+        init = inspect.signature(repro.core.bulk.BulkEvaluator.__init__)
+        assert "postings" not in init.parameters
+        for gone in ("pack_postings", "unpack_postings", "_relation_postings"):
+            assert not hasattr(repro.engine.codec, gone), gone
 
     def test_planner_decides_nothing(self):
         """No plan, no estimate, no settable value: ``repro.planner``
