@@ -12,7 +12,7 @@ Commands
     ``--data-dir`` the server recovers from snapshot + oplog on boot,
     journals every committed write, and checkpoints periodically and at
     graceful shutdown (SIGINT/SIGTERM drain in-flight statements).
-``connect [--host H] [--port P] [--db TENANT] [--wire-format ...]``
+``connect [--host H] [--port P] [--db TENANT]``
     Interactive HQL shell over the wire against a running server,
     optionally bound to a named tenant (``\\use`` switches later).
 ``tenants [--host H] [--port P] [--json] [create|drop NAME ...]``
@@ -140,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     connect.add_argument("--port", type=int, default=DEFAULT_PORT)
     connect.add_argument(
         "--db", help="bind the session to this tenant (default: 'default')"
-    )
-    connect.add_argument(
-        "--wire-format",
-        choices=("binary", "json"),
-        help="result encoding to prefer (default: binary)",
     )
 
     tenants = commands.add_parser(
@@ -350,9 +345,7 @@ def _cmd_connect(args) -> int:
     from repro.client import HQLClient, RemoteRepl
     from repro.errors import ServerError
 
-    client = HQLClient(
-        host=args.host, port=args.port, wire_format=args.wire_format, db=args.db
-    )
+    client = HQLClient(host=args.host, port=args.port, db=args.db)
     try:
         client.connect()
         if args.db:

@@ -1,8 +1,10 @@
 """A blocking client for the HQL wire protocol.
 
 :class:`HQLClient` is the programmatic doorway to a running
-``repro serve`` instance: it speaks the length-prefixed JSON protocol
-of :mod:`repro.server.protocol` over a plain TCP socket, transparently
+``repro serve`` instance: it speaks the length-prefixed protocol of
+:mod:`repro.server.protocol` over a plain TCP socket (JSON requests;
+replies carrying rows arrive as columnar containers, the rest as JSON,
+and both decode to plain dicts), transparently
 reconnecting on connection loss (never inside an open transaction —
 the server rolled that state back with the connection, so silently
 replaying would lie), and exposing transactions as a context manager::
@@ -247,6 +249,13 @@ class HQLClient:
         follow_leader: bool = True,
         db: Optional[str] = None,
     ) -> None:
+        # ``wire_format`` selects nothing: benchmarks/e2e/serverproc.py
+        # still passes "binary".
+        if wire_format not in (None, codec.FORMAT_BINARY):
+            raise ValueError(
+                "wire_format accepts only None or 'binary' (a reply's "
+                "format follows from its contents), got {!r}".format(wire_format)
+            )
         self.host = host
         self.port = port
         #: The tenant this client talks to (``None`` = the server's
@@ -267,11 +276,6 @@ class HQLClient:
         self.follow_leader = follow_leader
         self._follower_clients: Dict[str, "HQLClient"] = {}
         self._rr = 0
-        #: Preferred response encoding: binary unless ``"json"`` is
-        #: asked for.  Negotiated down to JSON at connect time when
-        #: the server does not advertise binary.
-        self.preferred_format = wire_format or codec.FORMAT_BINARY
-        self.wire_format = codec.FORMAT_JSON
         self.hello: Optional[Dict[str, Any]] = None
         self.session_id: Optional[int] = None
         self._sock: Optional[socket.socket] = None
@@ -314,14 +318,6 @@ class HQLClient:
                 self._sock = sock
                 self.session_id = self.hello.get("session")
                 self._in_transaction = False
-                # Format negotiation: speak binary only when both ends
-                # want it; everything else falls back to JSON (v1).
-                offered = protocol.hello_formats(self.hello)
-                self.wire_format = (
-                    self.preferred_format
-                    if self.preferred_format in offered
-                    else codec.FORMAT_JSON
-                )
                 return self.hello
             except (ConnectionError, OSError, ProtocolError) as exc:
                 last_error = exc
@@ -367,9 +363,8 @@ class HQLClient:
             protocol.send_frame(self._sock, request)
             response = protocol.recv_frame(self._sock, self._max_frame())
         except FrameTooLargeError as exc:
-            # The response itself blew the negotiated limit (a pre-v2
-            # server has no response guard).  Retrying verbatim would
-            # hit the same wall, so report the fix instead.
+            # The response itself blew the negotiated limit.  Retrying
+            # verbatim would hit the same wall, so report the fix instead.
             self.close()
             raise RemoteError(
                 type(exc).__name__,
@@ -421,7 +416,6 @@ class HQLClient:
                 connect_attempts=self.connect_attempts,
                 retry_delay=self.retry_delay,
                 render=self.render,
-                wire_format=self.preferred_format,
             )
             self._follower_clients[addr] = client
         return client
@@ -530,7 +524,6 @@ class HQLClient:
             "op": "query",
             "hql": hql,
             "render": self.render if render is None else render,
-            "format": self.wire_format,
         }
         if self.db is not None:
             request["db"] = self.db
@@ -607,7 +600,6 @@ class HQLClient:
                 "op": "fetch",
                 "cursor": cursor_id,
                 "max_rows": max_rows,
-                "format": self.wire_format,
             }
         )
         if not response.get("ok"):

@@ -499,26 +499,37 @@ def mask_union(mask: int, table, keys: Sequence) -> int:
 # ----------------------------------------------------------------------
 
 
-def evaluator_for(relation, strategy=None) -> BulkEvaluator:
-    """The relation's current evaluator: the memoised one while nothing
-    moved, that one advanced by the relation's own delta log after
-    tuple mutations, a full sweep otherwise (first use, a hierarchy
-    edit, wiped or trimmed history, another strategy)."""
+def current_evaluator(relation, strategy=None) -> Optional[BulkEvaluator]:
+    """The relation's evaluator without a sweep: the memoised one while
+    nothing moved, that one advanced by the relation's own delta log
+    after tuple mutations, or ``None`` when only a full sweep will do
+    (first use, a hierarchy edit, wiped or trimmed history, another
+    strategy)."""
     chosen = strategy if strategy is not None else relation.strategy
     key = (chosen.name, relation.version, relation.schema.product.version)
     cached = getattr(relation, "_bulk_eval", None)
-    if cached is not None:
-        if cached.key == key:
-            _obs.default_registry().counter("bulk.evaluator.reuses").inc()
-            return cached
-        if cached.key[0] == key[0] and cached.key[2] == key[2]:
-            changed = relation.changes_since(cached.key[1])
-            if changed is not None:
-                _obs.default_registry().counter("bulk.evaluator.advances").inc()
-                evaluator = cached.advanced(relation, changed)
-                relation._bulk_eval = evaluator
-                return evaluator
-    return build_evaluator(relation, chosen)
+    if cached is None:
+        return None
+    if cached.key == key:
+        _obs.default_registry().counter("bulk.evaluator.reuses").inc()
+        return cached
+    if cached.key[0] == key[0] and cached.key[2] == key[2]:
+        changed = relation.changes_since(cached.key[1])
+        if changed is not None:
+            _obs.default_registry().counter("bulk.evaluator.advances").inc()
+            evaluator = cached.advanced(relation, changed)
+            relation._bulk_eval = evaluator
+            return evaluator
+    return None
+
+
+def evaluator_for(relation, strategy=None) -> BulkEvaluator:
+    """The relation's current evaluator: :func:`current_evaluator`, or
+    a full sweep when that has none."""
+    evaluator = current_evaluator(relation, strategy)
+    if evaluator is None:
+        evaluator = build_evaluator(relation, strategy)
+    return evaluator
 
 
 def build_evaluator(relation, strategy=None) -> BulkEvaluator:

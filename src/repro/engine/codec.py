@@ -1,12 +1,13 @@
-"""Binary columnar codec: wire pages and ``snapshot.bin`` (format v2).
+"""Binary columnar codec: wire bodies and ``snapshot.bin`` (format v2).
 
-Every byte that crosses a process boundary used to be JSON.  This
-module is the binary alternative, negotiated at hello time on the wire
-(JSON v1 stays the fallback) and the only format of a server's
-snapshots.  The shape follows the typed-domain column treatment of the
-two-level concept-oriented model: values live in per-attribute
-*dictionary columns* (each distinct node name stored once, rows as
-fixed-width id arrays), and truth signs travel as plain bitsets.
+A wire body's format follows from what its message carries: a message
+holding row columns (:class:`Columnar`) becomes a binary container,
+every other message is plain JSON (:func:`encode_message`).  Nothing
+negotiates it.  A server's snapshots are always containers.  The shape
+follows the typed-domain column treatment of the two-level
+concept-oriented model: values live in per-attribute *dictionary
+columns* (each distinct node name stored once, rows as fixed-width id
+arrays), and truth signs travel as plain bitsets.
 
 A snapshot holds the data and nothing derived from it: the catalog,
 each relation's stored tuples and their signs, and the view
@@ -15,7 +16,7 @@ ordinary sweep the first time something reads the relation.  Snapshots
 written before this rule carry per-relation ``postings`` block indexes;
 nothing reads them.
 
-Container layout (both wire messages and snapshot files)::
+Container layout (container wire bodies and snapshot files)::
 
     magic(4) version(1) envelope_len(4) envelope_json
     nblocks(4) { block_len(8) block_bytes }*
@@ -25,9 +26,8 @@ schemas, checkpoint stamps); the *blocks* carry everything bulky (row
 columns, sign bitsets).  A wire message embeds
 :class:`Columnar` markers where row data sits; :func:`encode_message`
 lifts them into blocks and :func:`decode_message` splices the decoded
-rows back, so a binary response decodes to the **same dict shape** as
-the JSON one — callers above the framing layer cannot tell the
-difference.
+rows back as plain lists, so callers above the framing layer never see
+a marker.
 
 All multi-byte integers are big-endian (the wire's byte order); id
 arrays are little-endian and byteswapped on big-endian hosts.
@@ -54,7 +54,6 @@ SNAPSHOT_FORMAT_NAME = "repro-db-bin"
 SNAPSHOT_FORMAT_VERSION = 1
 
 FORMAT_BINARY = "binary"
-FORMAT_JSON = "json"
 
 _U8 = struct.Struct("!B")
 _U32 = struct.Struct("!I")
@@ -71,6 +70,10 @@ _ID_WIDTHS = (("B", 0xFF), ("H", 0xFFFF), ("I", 0xFFFFFFFF))
 
 def encode_container(magic: bytes, envelope: Dict[str, Any], blocks: Sequence[bytes]) -> bytes:
     head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    return _pack_container(magic, head, blocks)
+
+
+def _pack_container(magic: bytes, head: bytes, blocks: Sequence[bytes]) -> bytes:
     parts = [magic, _U8.pack(CODEC_VERSION), _U32.pack(len(head)), head, _U32.pack(len(blocks))]
     for block in blocks:
         parts.append(_U64.pack(len(block)))
@@ -271,24 +274,6 @@ def columnar_relation(relation) -> Columnar:
     )
 
 
-def _lift(value: Any, blocks: List[bytes]) -> Any:
-    if isinstance(value, Columnar):
-        ref: Dict[str, Any] = {
-            "$rows": len(blocks),
-            "n": len(value.rows),
-        }
-        blocks.append(pack_rows(value.rows, value.width))
-        if value.truths is not None:
-            ref["$signs"] = len(blocks)
-            blocks.append(pack_signs(value.truths))
-        return ref
-    if isinstance(value, dict):
-        return {key: _lift(item, blocks) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_lift(item, blocks) for item in value]
-    return value
-
-
 def _splice(value: Any, blocks: List[bytes]) -> Any:
     if isinstance(value, dict):
         if "$rows" in value:
@@ -304,23 +289,46 @@ def _splice(value: Any, blocks: List[bytes]) -> Any:
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
-    """A wire message (dict, possibly holding :class:`Columnar`
-    markers) as one binary body."""
+    """One wire body.  Every :class:`Columnar` in ``message`` is lifted
+    into row (and sign) blocks and the body is a binary container; a
+    message without one is its JSON bytes."""
     blocks: List[bytes] = []
-    envelope = _lift(message, blocks)
-    return encode_container(WIRE_MAGIC, envelope, blocks)
+
+    def lift(value: Any) -> Dict[str, Any]:
+        if not isinstance(value, Columnar):
+            raise TypeError(
+                "{} is not JSON serializable".format(type(value).__name__)
+            )
+        ref: Dict[str, Any] = {"$rows": len(blocks), "n": len(value.rows)}
+        blocks.append(pack_rows(value.rows, value.width))
+        if value.truths is not None:
+            ref["$signs"] = len(blocks)
+            blocks.append(pack_signs(value.truths))
+        return ref
+
+    head = json.dumps(message, separators=(",", ":"), default=lift).encode("utf-8")
+    if not blocks:
+        return head
+    return _pack_container(WIRE_MAGIC, head, blocks)
 
 
 def decode_message(body: bytes) -> Dict[str, Any]:
-    """The dict a binary body encodes — identical in shape to what the
-    JSON encoding of the same message would have produced."""
-    try:
-        envelope, blocks = decode_container(body, WIRE_MAGIC)
-        message = _splice(envelope, blocks)
-    except (ValueError, KeyError, IndexError, struct.error, UnicodeDecodeError) as exc:
-        raise ProtocolError("undecodable binary frame body: {}".format(exc)) from None
+    """The message dict of either body kind, told apart by prefix."""
+    if is_binary_body(body):
+        try:
+            envelope, blocks = decode_container(body, WIRE_MAGIC)
+            message = _splice(envelope, blocks)
+        except (ValueError, KeyError, IndexError, struct.error, UnicodeDecodeError) as exc:
+            raise ProtocolError("undecodable binary frame body: {}".format(exc)) from None
+    else:
+        try:
+            message = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ProtocolError("undecodable frame body: {}".format(exc)) from None
     if not isinstance(message, dict):
-        raise ProtocolError("binary frame body must decode to an object")
+        raise ProtocolError(
+            "frame body must be a JSON object, got {}".format(type(message).__name__)
+        )
     return message
 
 

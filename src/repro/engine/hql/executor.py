@@ -21,7 +21,7 @@ from repro.core.relation import HRelation
 from repro.engine.hql import ast
 from repro.engine.hql.parser import parse
 from repro.engine.querycache import MISS, cache_key, key_source_names
-from repro.errors import HQLError
+from repro.errors import CatalogError, HQLError
 from repro.obs import Span, default_registry, render_span_tree
 from repro.obs import trace as _trace
 from repro.render.table import render_justification, render_relation, render_rows
@@ -91,6 +91,16 @@ class HQLExecutor:
     def in_transaction(self) -> bool:
         """True while a ``BEGIN`` block is open on this session."""
         return self._transaction is not None
+
+    def truth_is_warm(self, statement: ast.Truth) -> bool:
+        """Whether ``statement`` answers without sweeping its relation's
+        evaluator (it reuses or advances the memoised one).  An unknown
+        relation counts as warm: its error costs nothing."""
+        try:
+            relation = self._relation(statement.relation)
+        except CatalogError:
+            return True
+        return bulk.current_evaluator(relation) is not None
 
     def close(self) -> None:
         """End the session: roll back any open transaction and discard

@@ -2,8 +2,9 @@
 
 ``repro serve`` (or embedding :class:`HQLServer` /
 :class:`ServerThread` directly) turns the in-process engine into a
-shared multi-client service: a versioned length-prefixed JSON wire
-protocol, per-connection sessions owning transaction state, a
+shared multi-client service: a versioned length-prefixed wire
+protocol (columnar bodies for replies that carry rows, JSON for the
+rest), per-connection sessions owning transaction state, a
 readers-writer lock that overlaps read statements and serialises
 writes, durable snapshot+journal recovery, and an admin surface for
 metrics, stats, the slow-query log, and live sessions.  See

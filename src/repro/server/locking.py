@@ -15,10 +15,11 @@ the read-heavy traffic this server is built for.
 
 Not thread-safe: this is an asyncio-side lock, acquired on the event
 loop, and acquisition and release happen between awaits.  The guarded
-work of a ``TRUTH`` runs on the loop itself (warm, one postings probe
-plus at most one evaluator advance; cold, after boot, a hierarchy edit
-or ``LOAD``, a full sweep of the relation); every other statement's
-runs on a worker thread, because it grows with relation size.  Inline
+work of a warm ``TRUTH`` runs on the loop itself (one postings probe
+plus at most one evaluator advance); a cold ``TRUTH``'s (a full sweep
+of the relation, after boot, a hierarchy edit or ``LOAD``) and every
+other statement's run on a worker thread, because they grow with
+relation size.  Inline
 truth questions hold the shared lock without ever yielding, so they
 never overlap one another: :attr:`ReadWriteLock.max_concurrent_readers`
 counts threaded reads only — a per-layer count, not a gate, which reads

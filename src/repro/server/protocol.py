@@ -3,39 +3,40 @@
 Framing
 -------
 Every message — in both directions — is one *frame*: a 4-byte unsigned
-big-endian length followed by that many body bytes.  A body is either
-UTF-8 JSON (it starts with ``{``) or a binary columnar message (it
-starts with the :data:`repro.engine.codec.WIRE_MAGIC` bytes); the first
-bytes disambiguate, so no per-frame format flag is needed.  Frames
-larger than the negotiated maximum (default 32 MiB) are rejected with
+big-endian length followed by that many body bytes.  A body's format
+follows from what the message carries: a message holding row columns
+(a relation's tuples, an extension's rows, a cursor page) is a binary
+columnar container (it starts with the :data:`repro.engine.codec.
+WIRE_MAGIC` bytes); every other message — requests, hellos, ``TRUTH``
+and ``COUNT`` replies, admin and error replies — is UTF-8 JSON (it
+starts with ``{``).  The reader tells the two apart by prefix, so no
+per-frame flag and no negotiation is needed.  Frames larger than the
+negotiated maximum (default 32 MiB) are rejected with
 :class:`~repro.errors.FrameTooLargeError` before any allocation.
 
 Handshake
 ---------
-On connect the server speaks first, sending a hello frame (always
-JSON)::
+On connect the server speaks first, sending a hello frame::
 
-    {"server": "repro", "protocol": 2, "version": "1.0.0",
+    {"server": "repro", "protocol": 3, "version": "1.0.0",
      "database": "zoo", "session": 7, "max_frame": 33554432,
-     "formats": ["json", "binary"], "cursors": true}
+     "cursors": true}
 
 Clients must check ``server`` and ``protocol`` and disconnect on
-mismatch; a v1 client (no ``formats`` awareness) keeps working because
-requests and responses default to JSON.  Everything after the hello is
-request/response.
+mismatch; a client accepts protocol 3 only.  Everything after the hello
+is request/response.
 
-Requests (always JSON)
-----------------------
-``{"id": n, "op": "query", "hql": "...", "render": true,
-  "format": "json" | "binary", "page_size": 0}``
+Requests
+--------
+``{"id": n, "op": "query", "hql": "...", "render": true, "page_size": 0}``
     Execute an HQL script (one or more statements).  ``render``
     (default true) controls whether relation-valued results include the
-    rendered ASCII table in ``message``; ``format`` picks the response
-    encoding (default json); ``page_size`` > 0 opens a server-side
-    cursor per large relation/extension result and returns only the
-    first page (``page_size: 0``/absent disables paging; ``page_size:
-    -1`` asks the server to pick a page size from its row estimates).
-``{"id": n, "op": "fetch", "cursor": c, "max_rows": k, "format": ...}``
+    rendered ASCII table in ``message``; ``page_size`` > 0 opens a
+    server-side cursor per large relation/extension result and returns
+    only the first page (``page_size: 0``/absent disables paging;
+    ``page_size: -1`` asks the server to pick a page size from its row
+    estimates).
+``{"id": n, "op": "fetch", "cursor": c, "max_rows": k}``
     The next page of an open cursor.
 ``{"id": n, "op": "close", "cursor": c}``
     Drop a cursor early (cursors also die with the session).
@@ -64,7 +65,6 @@ and the :class:`~repro.client.HQLClient` cannot drift apart.
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 from typing import Any, Dict, List, Optional
@@ -78,11 +78,9 @@ from repro.errors import (
 )
 
 PROTOCOL_NAME = "repro"
-#: Version 2 added binary bodies, cursor verbs, and structured
-#: oversized-frame errors; v1 peers interoperate (JSON default).
-PROTOCOL_VERSION = 2
-SUPPORTED_PROTOCOLS = (1, 2)
-WIRE_FORMATS = (codec.FORMAT_JSON, codec.FORMAT_BINARY)
+#: Version 3: a body's format follows from what it carries, and no
+#: request names one.  Peers speak exactly this version.
+PROTOCOL_VERSION = 3
 DEFAULT_MAX_FRAME = 32 * 1024 * 1024
 _HEADER = struct.Struct("!I")
 
@@ -92,37 +90,18 @@ _HEADER = struct.Struct("!I")
 # ----------------------------------------------------------------------
 
 
-def encode_body(message: Dict[str, Any], wire_format: str = codec.FORMAT_JSON) -> bytes:
-    """One frame body.  Binary lifts :class:`~repro.engine.codec.
-    Columnar` markers into columnar blocks; JSON requires the message to
-    be marker-free (callers build plain dicts on that path)."""
-    if wire_format == codec.FORMAT_BINARY:
-        return codec.encode_message(message)
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+encode_body = codec.encode_message
+decode_body = codec.decode_message
 
 
-def encode_frame(message: Dict[str, Any], wire_format: str = codec.FORMAT_JSON) -> bytes:
+def encode_frame(message: Dict[str, Any], wire_format: Optional[str] = None) -> bytes:
     """One wire frame: length header + body."""
-    body = encode_body(message, wire_format)
+    # ``wire_format`` selects nothing: benchmarks/e2e/layers.py still
+    # passes one.
+    body = encode_body(message)
     if len(body) > 0xFFFFFFFF:
         raise ProtocolError("frame too large to encode ({} bytes)".format(len(body)))
     return _HEADER.pack(len(body)) + body
-
-
-def decode_body(body: bytes) -> Dict[str, Any]:
-    """Either body flavour back to the message dict (sniffed by
-    prefix)."""
-    if codec.is_binary_body(body):
-        return codec.decode_message(body)
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("undecodable frame body: {}".format(exc)) from None
-    if not isinstance(message, dict):
-        raise ProtocolError(
-            "frame body must be a JSON object, got {}".format(type(message).__name__)
-        )
-    return message
 
 
 async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> Optional[Dict[str, Any]]:
@@ -150,13 +129,9 @@ async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> Optional[Dic
     return decode_body(body)
 
 
-def send_frame(
-    sock: socket.socket,
-    message: Dict[str, Any],
-    wire_format: str = codec.FORMAT_JSON,
-) -> None:
+def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Blocking-socket counterpart of writing one frame."""
-    sock.sendall(encode_frame(message, wire_format))
+    sock.sendall(encode_frame(message))
 
 
 def recv_frame(
@@ -209,9 +184,8 @@ def hello(
     follower's hello names its ``leader`` so clients learn where
     writes go without a separate lookup.  ``tenants`` lists the named
     databases this server hosts (and advertises the ``use`` verb and
-    per-request ``db`` field) — the field is additive, so v1/v2
-    clients that predate multi-tenancy simply ignore it and keep
-    talking to the default tenant."""
+    per-request ``db`` field); a client that never names a tenant
+    talks to the default one."""
     message = {
         "server": PROTOCOL_NAME,
         "protocol": PROTOCOL_VERSION,
@@ -219,7 +193,6 @@ def hello(
         "database": database_name,
         "session": session_id,
         "max_frame": max_frame,
-        "formats": list(WIRE_FORMATS),
         "cursors": True,
         "role": role,
         "replication": replication,
@@ -232,29 +205,18 @@ def hello(
 
 
 def check_hello(message: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate a server hello client-side; returns it unchanged.  Any
-    protocol version this client can speak is accepted (a v1 server
-    simply never gets binary or cursor requests)."""
+    """Validate a server hello client-side; returns it unchanged."""
     if message.get("server") != PROTOCOL_NAME:
         raise ProtocolError(
             "not a repro server (hello says server={!r})".format(message.get("server"))
         )
-    if message.get("protocol") not in SUPPORTED_PROTOCOLS:
+    if message.get("protocol") != PROTOCOL_VERSION:
         raise ProtocolError(
             "protocol version mismatch: server speaks {!r}, client speaks {}".format(
-                message.get("protocol"), ", ".join(map(str, SUPPORTED_PROTOCOLS))
+                message.get("protocol"), PROTOCOL_VERSION
             )
         )
     return message
-
-
-def hello_formats(message: Dict[str, Any]) -> List[str]:
-    """The response encodings a hello advertises (v1 hellos: JSON
-    only)."""
-    formats = message.get("formats")
-    if not isinstance(formats, list) or not formats:
-        return [codec.FORMAT_JSON]
-    return [str(f) for f in formats]
 
 
 def ok_response(request_id: Any, results: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -307,11 +269,9 @@ def error_response(
 # ----------------------------------------------------------------------
 
 
-def _relation_to_json(relation, binary: bool = False) -> Dict[str, Any]:
-    if binary:
-        tuples: Any = codec.columnar_relation(relation)
-    else:
-        tuples = [[list(t.item), bool(t.truth)] for t in relation.tuples()]
+def relation_payload(relation, tuples: codec.Columnar) -> Dict[str, Any]:
+    """A relation result's payload: its schema, and ``tuples`` (all of
+    its signed tuples, or one cursor page of them)."""
     return {
         "name": relation.name,
         "attributes": list(relation.schema.attributes),
@@ -321,24 +281,21 @@ def _relation_to_json(relation, binary: bool = False) -> Dict[str, Any]:
     }
 
 
-def payload_to_json(result, binary: bool = False) -> Any:
+def payload_to_json(result) -> Any:
     """The wire-safe projection of a Result payload, or ``None`` when
     the ``message`` rendering is the whole story (ok/plan/justify).
-    With ``binary=True`` bulky row lists become :class:`~repro.engine.
-    codec.Columnar` markers, which the binary body encoding lifts into
-    typed columnar blocks (the decoded shape is identical)."""
+    Row payloads — a relation's signed tuples, an extension's rows —
+    are :class:`~repro.engine.codec.Columnar` markers, which make the
+    body a columnar container."""
     kind, payload = result.kind, result.payload
     if kind == "truth":
         return bool(payload)
     if kind == "count":
         return int(payload)
     if kind == "extension":
-        rows = [list(row) for row in payload]
-        if binary and rows:
-            return codec.columnar_rows(rows, width=len(rows[0]))
-        return rows
+        return codec.columnar_rows(payload)
     if kind == "relation":
-        return _relation_to_json(payload, binary=binary)
+        return relation_payload(payload, codec.columnar_relation(payload))
     if kind == "conflicts":
         return [str(conflict) for conflict in payload]
     if kind == "show":
@@ -350,13 +307,14 @@ def payload_to_json(result, binary: bool = False) -> Any:
     return None
 
 
-def serialize_result(result, render: bool = True, binary: bool = False) -> Dict[str, Any]:
+def serialize_result(result, render: bool = True, binary: bool = True) -> Dict[str, Any]:
     """One Result as a wire dict.  ``render=False`` skips the ASCII
     table for relation/extension payloads (lazy in the executor, so the
     cost is genuinely never paid)."""
+    # ``binary`` selects nothing: benchmarks/e2e/layers.py still passes it.
     wire: Dict[str, Any] = {
         "kind": result.kind,
-        "payload": payload_to_json(result, binary=binary),
+        "payload": payload_to_json(result),
         "elapsed_ms": result.elapsed_ms,
     }
     if render or result.kind not in ("relation", "extension"):

@@ -5,8 +5,8 @@ One :class:`HQLServer` serves a *registry of tenants* — independent
 :mod:`repro.tenants`) — to many connections over the wire protocol of
 :mod:`repro.server.protocol`.  Every session is bound to exactly one
 tenant at a time (the ``default`` tenant until it issues a ``use``
-request or stamps a ``db`` field on a query), so a v1/v2 client that
-never mentions tenants behaves exactly as before.  Concurrency model:
+request or stamps a ``db`` field on a query), so a client that never
+mentions tenants talks to the default one.  Concurrency model:
 
 * the event loop owns all sockets and each tenant's
   :class:`~repro.server.locking.ReadWriteLock`;
@@ -14,22 +14,21 @@ never mentions tenants behaves exactly as before.  Concurrency model:
   the statement's mode — shared for reads, exclusive for writes — so
   mutating statements on one tenant serialise, and traffic on
   different tenants never contends at all;
-* a ``TRUTH`` executes synchronously on the event loop: warm, its work
-  is one postings probe of the memoised evaluator plus at most one
-  delta advance (~6 µs), far below the cost of a thread hop.  Cold, it
-  is not bounded: the first read of a relation after boot, a hierarchy
-  edit or a ``LOAD`` sweeps the relation's evaluator on the loop
-  (11–14 ms for the benchmark's ``cones`` relation ``left``).
-  Every other statement — writes, ``COMMIT``, ``LOAD``, algebra
-  reads, ``EXTENSION``, ``JUSTIFY``, ``EXPLAIN`` — and every checkpoint
-  executes on a worker thread (``asyncio.to_thread``), because its
-  work grows with relation size and on the loop it would stall every
-  tenant's sockets for its whole duration.  Threaded reads from
-  different connections overlap; inline truth questions never do, so
-  the lock's ``max_concurrent_readers`` counts threaded reads only (a
-  per-layer count, not a gate).  A cold ``TRUTH`` (no memoised
-  evaluator yet) builds it on the loop — ~38 ms for a 20 000-tuple
-  relation on a 2-core box — once per relation per hierarchy version;
+* a ``TRUTH`` whose relation has a memoised evaluator executes
+  synchronously on the event loop: its work is one postings probe plus
+  at most one delta advance (~6 µs), far below the cost of a thread
+  hop.  A cold ``TRUTH`` — the first read of a relation after boot, a
+  hierarchy edit or a ``LOAD`` — must sweep the evaluator first (11–14
+  ms for the benchmark's ``cones`` relation ``left``, ~38 ms for a
+  20 000-tuple relation), so it goes to a worker thread like every
+  other statement.  Writes, ``COMMIT``, ``LOAD``, algebra reads,
+  ``EXTENSION``, ``JUSTIFY``, ``EXPLAIN`` and every checkpoint execute
+  on a worker thread (``asyncio.to_thread``), because their work grows
+  with relation size and on the loop it would stall every tenant's
+  sockets for its whole duration.  Threaded reads from different
+  connections overlap; inline truth questions never do, so the lock's
+  ``max_concurrent_readers`` counts threaded reads only (a per-layer
+  count, not a gate);
 * each connection owns a :class:`~repro.server.session.Session` whose
   executor holds its transaction state; ``ASSERT``/``RETRACT`` inside
   an open transaction stage copies privately and therefore run under
@@ -248,7 +247,7 @@ class HQLServer:
 
     @property
     def database(self) -> HierarchicalDatabase:
-        """The default tenant's database (what v1/v2 clients talk to)."""
+        """The default tenant's database (what a client that names no tenant talks to)."""
         return self.registry.default.database
 
     @property
@@ -463,9 +462,8 @@ class HQLServer:
                     break
                 if message is None:
                     break
-                wire_format = self._wire_format(message)
                 response = await self._handle_message(session, message)
-                frame = protocol.encode_frame(response, wire_format)
+                frame = protocol.encode_frame(response)
                 if len(frame) - 4 > self.max_frame:
                     # The response would hang up a well-behaved client
                     # (its reader enforces the same cap), so replace it
@@ -482,7 +480,7 @@ class HQLServer:
                     replacement = protocol.error_response(message.get("id"), oversize)
                     if "txn" in response:
                         replacement["txn"] = response["txn"]
-                    frame = protocol.encode_frame(replacement, wire_format)
+                    frame = protocol.encode_frame(replacement)
                 writer.write(frame)
                 await writer.drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -500,12 +498,6 @@ class HQLServer:
     # ------------------------------------------------------------------
     # statement dispatch
     # ------------------------------------------------------------------
-
-    def _wire_format(self, message: dict) -> str:
-        token = message.get("format", codec.FORMAT_JSON)
-        if token not in protocol.WIRE_FORMATS:
-            return codec.FORMAT_JSON
-        return str(token)
 
     async def _handle_message(self, session: Session, message: dict) -> dict:
         request_id = message.get("id")
@@ -589,7 +581,6 @@ class HQLServer:
         if message.get("db") is not None:
             self._bind_session(session, message.get("db"))
         render = bool(message.get("render", True))
-        binary = self._wire_format(message) == codec.FORMAT_BINARY
         page_size = _request_number(message, "page_size", int, 0)
         wait_sync = _request_number(message, "wait_sync", int, 0)
         wait_sync_timeout = _request_number(message, "wait_sync_timeout", float, 10.0)
@@ -626,7 +617,7 @@ class HQLServer:
             if tenant is not None:
                 tenant.m_statements.inc()
             results.append(
-                self._serialize_result(session, result, render, binary, page_size)
+                self._serialize_result(session, result, render, page_size)
             )
         response = protocol.ok_response(request_id, results)
         # Authoritative per-session transaction state, so clients track
@@ -677,14 +668,12 @@ class HQLServer:
     # cursors
     # ------------------------------------------------------------------
 
-    def _page_rows(self, kind: str, rows, binary: bool, width: int):
-        if not binary:
-            return rows
+    def _page_rows(self, kind: str, rows, width: int):
         if kind == "relation":
             return codec.columnar_pairs(rows, width=width)
         return codec.columnar_rows(rows, width=width)
 
-    def _serialize_result(self, session, result, render, binary, page_size):
+    def _serialize_result(self, session, result, render, page_size):
         """One Result as a wire dict, opening a server-side cursor when
         the caller asked for paging and the result is big enough to
         need it."""
@@ -723,23 +712,15 @@ class HQLServer:
                         "page": size,
                     },
                 }
-                page = self._page_rows(kind, first, binary, width)
+                page = self._page_rows(kind, first, width)
                 if kind == "relation":
-                    wire["payload"] = {
-                        "name": relation.name,
-                        "attributes": list(relation.schema.attributes),
-                        "hierarchies": [
-                            h.name for h in relation.schema.hierarchies
-                        ],
-                        "strategy": relation.strategy.name,
-                        "tuples": page,
-                    }
+                    wire["payload"] = protocol.relation_payload(relation, page)
                 else:
                     wire["payload"] = page
                 # A paged result never carries the rendered table — the
                 # whole point is not materialising the full text.
                 return wire
-        return protocol.serialize_result(result, render=render, binary=binary)
+        return protocol.serialize_result(result, render=render)
 
     def _auto_page_size(self, rows) -> int:
         """Rows per page targeting ``max_frame / 4`` bytes, from a
@@ -750,16 +731,13 @@ class HQLServer:
 
     def _handle_fetch(self, session: Session, message: dict) -> dict:
         request_id = message.get("id")
-        binary = self._wire_format(message) == codec.FORMAT_BINARY
         cursor = session.cursor(message.get("cursor"))
         page, done = cursor.fetch(_request_number(message, "max_rows", int, 0))
         self._m_cursor_pages.inc()
         remaining = cursor.remaining
         if done:
             session.close_cursor(cursor.id)
-        rows = self._page_rows(
-            cursor.kind, page, binary, int(cursor.meta.get("width", 0))
-        )
+        rows = self._page_rows(cursor.kind, page, int(cursor.meta.get("width", 0)))
         return protocol.cursor_response(request_id, cursor.id, rows, done, remaining)
 
     def _needs_write_lock(self, statement: ast.Statement, session: Session) -> bool:
@@ -811,18 +789,20 @@ class HQLServer:
                             self.leader_state.note_checkpoint(
                                 recovery.checkpoint_id
                             )
-            elif isinstance(statement, ast.Truth):
-                # Warm, one postings probe of the memoised evaluator and
-                # at most one delta advance cost less than the thread hop,
-                # so it answers right here on the loop.  Cold (first read
-                # after boot, a hierarchy edit or LOAD) it sweeps here too.
-                async with lock.read_locked():
-                    result = session.execute(statement)
             else:
-                # Every other read grows with relation size: on a worker
-                # it cannot stall the loop's sockets for its duration.
                 async with lock.read_locked():
-                    result = await asyncio.to_thread(session.execute, statement)
+                    if isinstance(statement, ast.Truth) and session.executor.truth_is_warm(
+                        statement
+                    ):
+                        # One postings probe of the memoised evaluator
+                        # and at most one delta advance cost less than
+                        # the thread hop, so it answers on the loop.
+                        result = session.execute(statement)
+                    else:
+                        # Every other read, and a TRUTH that must sweep
+                        # its relation first, grows with relation size:
+                        # on a worker it cannot stall the loop's sockets.
+                        result = await asyncio.to_thread(session.execute, statement)
             return result
         finally:
             self._inflight -= 1

@@ -113,12 +113,11 @@ class Session:
 
     def execute(self, statement: ast.Statement):
         """Run one statement on this session's executor while the
-        server holds the appropriate lock mode.  A ``TRUTH`` is called
-        directly on the event loop (warm, one postings probe plus at
-        most one evaluator advance; cold — the first read after boot, a
-        hierarchy edit or ``LOAD`` — a full sweep of the relation);
-        every other statement is called on a worker thread, because its
-        work grows with relation size."""
+        server holds the appropriate lock mode.  A warm ``TRUTH`` is
+        called directly on the event loop (one postings probe plus at
+        most one evaluator advance); every other statement, and a
+        ``TRUTH`` that must sweep its relation first, is called on a
+        worker thread, because its work grows with relation size."""
         self.statements += 1
         self.last_statement = statement
         with _trace.span("server.session", session=self.id, peer=self.peer):

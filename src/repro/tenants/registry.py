@@ -16,7 +16,7 @@ tenant its own data directory::
 
 The **default tenant** occupies the data directory root — exactly the
 layout single-tenant servers have always written — so any pre-existing
-data dir boots unchanged and any v1/v2 client that never mentions a
+data dir boots unchanged and any client that never mentions a
 ``db`` keeps talking to the same database it always did.
 
 Isolation and failure containment
@@ -479,7 +479,8 @@ class TenantRegistry:
 
     def drop(self, name: str) -> Tenant:
         """Remove a tenant and delete its on-disk state.  The default
-        tenant cannot be dropped (v1/v2 clients depend on it)."""
+        tenant cannot be dropped (clients that name no tenant depend
+        on it)."""
         if name == DEFAULT_TENANT:
             raise TenantError("the default tenant cannot be dropped")
         try:

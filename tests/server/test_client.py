@@ -28,22 +28,19 @@ def live_port():
 
 
 class TestConnection:
-    wire_format = None  # the client default: binary
-
     def test_connect_refused_becomes_server_error(self):
         client = HQLClient(port=1, connect_attempts=1)
         with pytest.raises(ServerError, match="cannot connect"):
             client.connect()
 
     def test_context_manager_connects_and_closes(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             assert client.connected
             assert client.session_id is not None
-            assert client.wire_format == (self.wire_format or "binary")
         assert not client.connected
 
     def test_reconnect_after_broken_socket(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             client._sock.close()  # sever underneath the client
             # The retry opens a fresh connection transparently ...
@@ -52,7 +49,7 @@ class TestConnection:
             assert client.connected
 
     def test_reconnect_disabled_raises(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format, reconnect=False) as client:
+        with HQLClient(port=live_port, reconnect=False) as client:
             client.execute(SETUP)
             client._sock.close()
             with pytest.raises(ServerError, match="connection lost"):
@@ -61,7 +58,7 @@ class TestConnection:
     def test_no_silent_retry_inside_transaction(self, live_port):
         """A lost connection killed the staged state server-side;
         replaying the next statement on a fresh session would lie."""
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             client.execute("BEGIN;")
             assert client.in_transaction
@@ -74,10 +71,8 @@ class TestConnection:
 
 
 class TestTransactionGuard:
-    wire_format = None  # the client default: binary
-
     def test_commit_on_clean_exit(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             with client.transaction():
                 client.execute("ASSERT NOT flies (tweety);")
@@ -86,7 +81,7 @@ class TestTransactionGuard:
             assert client.truth("flies", ["tweety"]) is False
 
     def test_rollback_on_exception(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             with pytest.raises(RuntimeError):
                 with client.transaction():
@@ -97,17 +92,15 @@ class TestTransactionGuard:
 
 
 class TestErrors:
-    wire_format = None  # the client default: binary
-
     def test_remote_error_carries_server_type(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             with pytest.raises(RemoteError) as excinfo:
                 client.execute("COUNT nothing;")
             assert excinfo.value.remote_type == "CatalogError"
             assert "CatalogError" in str(excinfo.value)
 
     def test_syntax_error_aborts_whole_request(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             before = client.count("flies")
             with pytest.raises(RemoteError):
@@ -116,7 +109,7 @@ class TestErrors:
             assert client.count("flies") == before
 
     def test_set_planner_is_a_typed_error_and_the_session_survives(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             client.execute(SETUP)
             session = client.session_id
             # There is no SET statement: it fails at parse time, still as
@@ -129,18 +122,16 @@ class TestErrors:
                 assert client.session_id == session  # no reconnect happened
 
     def test_query_requires_single_statement(self, live_port):
-        with HQLClient(port=live_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=live_port) as client:
             with pytest.raises(ServerError, match="exactly one"):
                 client.query("STATS; STATS;")
 
 
 class TestRemoteRepl:
-    wire_format = None  # the client default: binary
-
     def test_scripted_session(self, live_port):
         import io
 
-        client = HQLClient(port=live_port, wire_format=self.wire_format)
+        client = HQLClient(port=live_port)
         client.connect()
         stdin = io.StringIO(SETUP.replace(";", ";\n") + "TRUTH flies (tweety);\n\\ping\n\\q\n")
         stdout = io.StringIO()
@@ -157,7 +148,7 @@ class TestRemoteRepl:
     def test_remote_error_keeps_repl_alive(self, live_port):
         import io
 
-        client = HQLClient(port=live_port, wire_format=self.wire_format)
+        client = HQLClient(port=live_port)
         client.connect()
         stdin = io.StringIO("COUNT nope;\nCREATE HIERARCHY h;\n\\q\n")
         stdout = io.StringIO()
@@ -168,25 +159,3 @@ class TestRemoteRepl:
         out = stdout.getvalue()
         assert "error:" in out
         assert "hierarchy h created" in out
-
-
-# ----------------------------------------------------------------------
-# the same behaviour over the v1 JSON wire — what a v1 peer, or a client
-# built with ``wire_format="json"``, speaks.  (Subclasses rather than
-# ``parametrize`` so the binary tests keep their ids.)
-# ----------------------------------------------------------------------
-
-class TestConnectionJson(TestConnection):
-    wire_format = "json"
-
-
-class TestTransactionGuardJson(TestTransactionGuard):
-    wire_format = "json"
-
-
-class TestErrorsJson(TestErrors):
-    wire_format = "json"
-
-
-class TestRemoteReplJson(TestRemoteRepl):
-    wire_format = "json"

@@ -1,9 +1,8 @@
 """Unit tests for the binary columnar codec (wire pages + snapshots).
 
-The codec promises *shape identity*: a message or database encoded to
-the binary container and decoded back must be indistinguishable from
-the JSON path — same dict shapes on the wire, same asserted maps,
-versions, and views after a snapshot round-trip.  A snapshot holds
+The codec promises *shape identity*: a message decodes to plain
+lists and dicts whatever its body kind, and a database round-tripped
+through a snapshot keeps its asserted maps, versions, and views.  A snapshot holds
 data only: no posting block is written, none is read, and a recovered
 relation sweeps its evaluator at the first read.
 """
@@ -58,8 +57,13 @@ class TestContainer:
         # Frame sniffing relies on the magic not starting with '{'.
         assert not codec.WIRE_MAGIC.startswith(b"{")
         assert not codec.SNAPSHOT_MAGIC.startswith(b"{")
-        assert codec.is_binary_body(codec.encode_message({"id": 1}))
-        assert not codec.is_binary_body(json.dumps({"id": 1}).encode())
+        # A message's body kind follows from its contents: row columns
+        # make a container, everything else is JSON.
+        plain = codec.encode_message({"id": 1})
+        assert plain == json.dumps({"id": 1}, separators=(",", ":")).encode()
+        assert not codec.is_binary_body(plain)
+        rows = codec.encode_message({"id": 1, "rows": codec.columnar_rows([["a"]])})
+        assert rows.startswith(b"RBC2") and codec.is_binary_body(rows)
 
 
 class TestColumns:
@@ -107,7 +111,7 @@ class TestMessages:
         assert out == {"rowsets": [rows, []]}
 
     def test_corrupt_body_raises_protocol_error(self):
-        body = codec.encode_message({"id": 1})
+        body = codec.encode_message({"id": 1, "rows": codec.columnar_rows([["a"]])})
         with pytest.raises(ProtocolError):
             codec.decode_message(body[:6])
 

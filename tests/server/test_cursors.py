@@ -1,16 +1,15 @@
 """Streaming cursors over the wire: paging, lifetime, frame limits.
 
 Boots real servers on background threads and drives them with
-:class:`HQLClient` so the whole path is exercised — negotiation,
-binary pages, ``fetch``/``close`` verbs, session reaping, and the
-structured oversize-frame error."""
+:class:`HQLClient` so the whole path is exercised — columnar pages,
+``fetch``/``close`` verbs, session reaping, and the structured
+oversize-frame error."""
 
 import io
 
 import pytest
 
 from repro.client import HQLClient, RemoteRepl
-from repro.engine import codec
 from repro.errors import RemoteError
 from repro.server import HQLServer, ServerThread
 from repro.server.session import Cursor, Session
@@ -70,10 +69,8 @@ class TestCursorObject:
 
 
 class TestWireCursors:
-    wire_format = None  # the client default: binary
-
     def test_execute_returns_first_page_and_token(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             result = client.execute("SELECT * FROM r;", page_size=30)[-1]
             assert result.cursor is not None
             assert result.cursor["total"] == ROWS
@@ -81,7 +78,7 @@ class TestWireCursors:
             assert len(result.payload["tuples"]) == 30
 
     def test_iterator_streams_everything_once(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             cursor = client.cursor("SELECT * FROM r;", page_size=25)
             rows = list(cursor)
             assert cursor.total_rows == ROWS
@@ -90,7 +87,7 @@ class TestWireCursors:
             )
 
     def test_small_results_skip_the_cursor(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             result = client.execute("SELECT * FROM r LIMIT 5;", page_size=30)[-1]
             assert result.cursor is None
             assert len(result.payload["tuples"]) == 5
@@ -99,7 +96,7 @@ class TestWireCursors:
             assert len(list(cursor)) == 5
 
     def test_auto_page_size(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             result = client.execute("SELECT * FROM r;", page_size=-1)[-1]
             # 120 short rows fit one frame comfortably: no paging needed,
             # or a single large page — either way every row arrives.
@@ -107,7 +104,7 @@ class TestWireCursors:
             assert len(rows) == ROWS
 
     def test_fetch_and_close_verbs(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             result = client.execute("SELECT * FROM r;", page_size=50)[-1]
             cursor_id = result.cursor["id"]
             reply = client.fetch(cursor_id, max_rows=20)
@@ -118,7 +115,7 @@ class TestWireCursors:
             assert client.close_cursor(cursor_id) is False
 
     def test_drained_cursor_closes_itself(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             result = client.execute("SELECT * FROM r;", page_size=100)[-1]
             cursor_id = result.cursor["id"]
             reply = client.fetch(cursor_id)
@@ -126,36 +123,33 @@ class TestWireCursors:
             assert client.close_cursor(cursor_id) is False  # already reaped
 
     def test_unknown_cursor_is_a_remote_error(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             with pytest.raises(RemoteError, match="no open cursor"):
                 client.fetch(424242)
 
-    def test_cursor_pages_match_between_formats(self, server_port):
-        with HQLClient(port=server_port, wire_format="json") as as_json:
-            with HQLClient(port=server_port, wire_format="binary") as as_bin:
-                assert as_json.wire_format == codec.FORMAT_JSON
-                assert as_bin.wire_format == codec.FORMAT_BINARY
-                left = list(as_json.cursor("SELECT * FROM r;", page_size=17))
-                right = list(as_bin.cursor("SELECT * FROM r;", page_size=17))
-                assert left == right
+    def test_cursor_drain_equals_stored_tuples(self, server_port):
+        with HQLClient(port=server_port) as client:
+            drained = list(client.cursor("SELECT * FROM r;", page_size=17))
+        assert len(drained) == ROWS
+        assert {tuple(item): truth for item, truth in drained} == {
+            ("n%03d" % i,): True for i in range(ROWS)
+        }
 
     def test_stats_count_open_cursors(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             client.execute("SELECT * FROM r;", page_size=10)
             assert client.stats()["server"]["cursors_open"] == 1
 
     def test_disconnect_reaps_cursors(self, server_port):
-        client = HQLClient(port=server_port, wire_format=self.wire_format)
+        client = HQLClient(port=server_port)
         client.connect()
         client.execute("SELECT * FROM r;", page_size=10)
         client.close()
-        with HQLClient(port=server_port, wire_format=self.wire_format) as watcher:
+        with HQLClient(port=server_port) as watcher:
             assert watcher.stats()["server"]["cursors_open"] == 0
 
 
 class TestFrameLimit:
-    wire_format = None  # the client default: binary
-
     @pytest.fixture()
     def tiny_port(self):
         server = HQLServer(port=0, max_frame=8192)
@@ -183,7 +177,7 @@ class TestFrameLimit:
             runner.shutdown()
 
     def test_oversize_response_is_a_typed_error(self, tiny_port):
-        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=tiny_port) as client:
             with pytest.raises(RemoteError) as excinfo:
                 client.execute("SELECT * FROM big;")
             message = str(excinfo.value)
@@ -192,23 +186,21 @@ class TestFrameLimit:
             assert "cursor" in message  # the remediation hint
 
     def test_connection_survives_the_oversize_error(self, tiny_port):
-        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=tiny_port) as client:
             with pytest.raises(RemoteError):
                 client.execute("SELECT * FROM big;")
             result = client.execute("SELECT * FROM big LIMIT 3;")[-1]
             assert len(result.payload["tuples"]) == 3
 
     def test_cursor_streams_under_the_tiny_frame(self, tiny_port):
-        with HQLClient(port=tiny_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=tiny_port) as client:
             rows = list(client.cursor("SELECT * FROM big;"))
             assert len(rows) == 400
 
 
 class TestReplStreaming:
-    wire_format = None  # the client default: binary
-
     def test_large_results_stream_row_by_row(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             out = io.StringIO()
             repl = RemoteRepl(client, stdout=out, page_rows=25)
             repl.execute("SELECT * FROM r;")
@@ -217,26 +209,8 @@ class TestReplStreaming:
             assert text.count("-> True") == ROWS
 
     def test_small_results_render_normally(self, server_port):
-        with HQLClient(port=server_port, wire_format=self.wire_format) as client:
+        with HQLClient(port=server_port) as client:
             out = io.StringIO()
             repl = RemoteRepl(client, stdout=out, page_rows=500)
             repl.execute("SELECT * FROM r LIMIT 2;")
             assert "streamed" not in out.getvalue()
-
-
-# ----------------------------------------------------------------------
-# the same behaviour over the v1 JSON wire — what a v1 peer, or a client
-# built with ``wire_format="json"``, speaks.  (Subclasses rather than
-# ``parametrize`` so the binary tests keep their ids.)
-# ----------------------------------------------------------------------
-
-class TestWireCursorsJson(TestWireCursors):
-    wire_format = "json"
-
-
-class TestFrameLimitJson(TestFrameLimit):
-    wire_format = "json"
-
-
-class TestReplStreamingJson(TestReplStreaming):
-    wire_format = "json"

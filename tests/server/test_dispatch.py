@@ -1,7 +1,8 @@
 """Where the server executes each statement, and how it reads requests.
 
-A ``TRUTH`` answers synchronously on the event loop under its tenant's
-shared lock; every other statement executes on a worker thread.  The
+A warm ``TRUTH`` answers synchronously on the event loop under its
+tenant's shared lock; a ``TRUTH`` that must sweep its relation first,
+and every other statement, executes on a worker thread.  The
 tests pin that split by thread identity, check that an inline truth
 question still waits for a writer on its tenant, and check that a
 malformed numeric request field is a typed error, not a dead
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.client import HQLClient
+from repro.core import bulk
 from repro.engine import HierarchicalDatabase
 from repro.engine.oplog import OperationLog
 from repro.server import HQLServer, ServerThread, protocol
@@ -91,6 +93,43 @@ class TestStatementThreads:
             stats = client.stats()["server"]
         assert stats["max_concurrent_readers"] == 1
         assert stats["active_readers"] == 0
+
+
+class TestColdTruth:
+    def test_first_truth_after_restart_sweeps_off_the_loop(self, tmp_path, monkeypatch):
+        """A recovered relation has no evaluator: its first ``TRUTH``
+        sweeps on a worker thread, and the next one reuses the result
+        on the loop."""
+        server = HQLServer(data_dir=str(tmp_path), port=0)
+        runner = ServerThread(server)
+        runner.start()
+        try:
+            with HQLClient(port=server.port) as client:
+                client.execute(SETUP)
+        finally:
+            runner.shutdown()  # graceful: a final checkpoint, no journal tail
+
+        server = HQLServer(data_dir=str(tmp_path), port=0)
+        assert server.database.relation("flies")._bulk_eval is None
+        builds = []
+        build = bulk.build_evaluator
+
+        def recording(*args, **kwargs):
+            builds.append(threading.current_thread().name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(bulk, "build_evaluator", recording)
+        runner = ServerThread(server)
+        runner.start()
+        try:
+            with HQLClient(port=server.port) as client:
+                assert client.truth("flies", ["tweety"]) is True
+                assert len(builds) == 1
+                assert builds[0] != "hql-server"
+                assert client.truth("flies", ["tweety"]) is True
+                assert len(builds) == 1  # the second TRUTH sweeps nothing
+        finally:
+            runner.shutdown()
 
 
 # ----------------------------------------------------------------------

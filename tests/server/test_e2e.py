@@ -263,8 +263,6 @@ class TestRecoveryAfterToggles:
     only, so what recovery rebuilds is a fresh sweep over those rows;
     the truths it answers after each crash must match the flat oracle."""
 
-    wire_format = None  # the client default: binary
-
     SETUP = (
         "CREATE HIERARCHY animal;"
         "CREATE CLASS bird IN animal;"
@@ -283,7 +281,7 @@ class TestRecoveryAfterToggles:
     NODES = ("animal", "bird", "penguin", "canary", "tweety", "pingo", "peter")
 
     def _check_truths(self, port):
-        with HQLClient(port=port, wire_format=self.wire_format) as client:
+        with HQLClient(port=port) as client:
             for node in self.NODES:
                 (result,) = client.execute("TRUTH flies ({});".format(node))
                 assert result.payload is (node in self.FLIERS), node
@@ -294,7 +292,7 @@ class TestRecoveryAfterToggles:
         runner = ServerThread(server)
         _, port = runner.start()
         try:
-            with HQLClient(port=port, wire_format=self.wire_format) as client:
+            with HQLClient(port=port) as client:
                 client.execute(self.SETUP)
                 toggles = 0
                 # Stop right after a checkpoint, with ``bird`` asserted again.
@@ -318,7 +316,7 @@ class TestRecoveryAfterToggles:
         try:
             self._check_truths(port)
             # A journal tail over the recovered evaluator, then another crash.
-            with HQLClient(port=port, wire_format=self.wire_format) as client:
+            with HQLClient(port=port) as client:
                 client.execute("RETRACT flies (peter);")
                 client.execute("RETRACT flies (bird);")
                 client.execute("ASSERT flies (bird);")
@@ -334,6 +332,3 @@ class TestRecoveryAfterToggles:
         finally:
             runner.abort()
 
-
-class TestRecoveryAfterTogglesJson(TestRecoveryAfterToggles):
-    wire_format = "json"

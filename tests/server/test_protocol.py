@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from repro.engine import HierarchicalDatabase
+from repro.engine import HierarchicalDatabase, codec
 from repro.engine.hql import HQLExecutor
 from repro.errors import ProtocolError
 from repro.server import protocol
@@ -130,33 +130,35 @@ class TestResultSerialisation:
         session.run(SETUP)
         return session
 
-    def _one(self, session, hql):
+    def _wire(self, session, hql, render=True):
+        """One statement's serialised result, as the client decodes it."""
         (result,) = session.run(hql)
-        return result
+        wire = protocol.serialize_result(result, render=render)
+        return protocol.decode_body(protocol.encode_body(wire))
 
     def test_truth_payload(self, session):
-        wire = protocol.serialize_result(self._one(session, "TRUTH flies (tweety);"))
+        wire = self._wire(session, "TRUTH flies (tweety);")
         assert wire["kind"] == "truth"
         assert wire["payload"] is True
 
     def test_count_payload(self, session):
-        wire = protocol.serialize_result(self._one(session, "COUNT flies;"))
+        wire = self._wire(session, "COUNT flies;")
         assert wire["kind"] == "count"
         assert wire["payload"] == 1
 
     def test_extension_payload(self, session):
-        wire = protocol.serialize_result(self._one(session, "EXTENSION flies;"))
+        wire = self._wire(session, "EXTENSION flies;")
         assert wire["kind"] == "extension"
         assert wire["payload"] == [["tweety"]]  # instances, not classes
 
     def test_relation_payload_and_render_flag(self, session):
-        result = self._one(session, "SELECT FROM flies WHERE creature = bird AS out;")
-        rendered = protocol.serialize_result(result, render=True)
+        hql = "SELECT FROM flies WHERE creature = bird AS out;"
+        rendered = self._wire(session, hql, render=True)
         assert rendered["kind"] == "relation"
         assert rendered["payload"]["attributes"] == ["creature"]
         assert rendered["payload"]["tuples"] == [[["bird"], True]]
         assert "message" in rendered
-        bare = protocol.serialize_result(result, render=False)
+        bare = self._wire(session, hql, render=False)
         assert "message" not in bare  # the ASCII table was never built
 
     def test_error_response_carries_partial_results(self):
@@ -167,32 +169,38 @@ class TestResultSerialisation:
 
 
 class TestProtocolV2:
-    """Format negotiation, binary frames, and the cursor/oversize verbs."""
+    """Body kinds by content, the hello, and the cursor/oversize verbs."""
 
-    def test_hello_advertises_formats_and_cursors(self):
+    def test_hello_says_protocol_3_and_advertises_cursors(self):
         hello = protocol.hello("zoo", 3, "1.0", protocol.DEFAULT_MAX_FRAME)
-        assert hello["protocol"] == 2
-        assert hello["formats"] == ["json", "binary"]
+        assert hello["protocol"] == 3
+        assert "formats" not in hello
         assert hello["cursors"] is True
-        assert protocol.hello_formats(hello) == ["json", "binary"]
 
-    def test_v1_hello_still_accepted(self):
-        # A v1 server's hello has no formats key; clients fall back to JSON.
-        legacy = {"server": "repro", "protocol": 1}
-        assert protocol.check_hello(legacy) is legacy
-        assert protocol.hello_formats(legacy) == ["json"]
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_and_v2_hellos_refused(self, version):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.check_hello({"server": "repro", "protocol": version})
+        message = str(excinfo.value)
+        assert "speaks {}".format(version) in message
+        assert "speaks 3" in message
 
     def test_binary_frame_roundtrip(self):
-        message = {"id": 3, "ok": True, "results": [{"kind": "count", "payload": 9}]}
-        frame = protocol.encode_frame(message, wire_format="binary")
-        body = frame[4:]
-        assert body[:1] != b"{"  # sniffable: binary bodies never start with '{'
-        assert protocol.decode_body(body) == message
+        rows = codec.columnar_rows([["x"], ["y"]])
+        message = {"id": 3, "ok": True, "results": [{"kind": "extension", "payload": rows}]}
+        body = protocol.encode_frame(message)[4:]
+        assert body[:4] == codec.WIRE_MAGIC  # row columns make a container
+        decoded = protocol.decode_body(body)
+        assert decoded["results"] == [{"kind": "extension", "payload": [["x"], ["y"]]}]
+        plain = {"id": 3, "ok": True, "results": [{"kind": "count", "payload": 9}]}
+        body = protocol.encode_frame(plain)[4:]
+        assert body[:1] == b"{"  # everything else is JSON
+        assert protocol.decode_body(body) == plain
 
     def test_socket_roundtrip_binary(self):
         a, b = socket.socketpair()
         try:
-            protocol.send_frame(a, {"id": 1, "rows": [["x", "y"]]}, wire_format="binary")
+            protocol.send_frame(a, {"id": 1, "rows": codec.columnar_rows([["x", "y"]])})
             assert protocol.recv_frame(b) == {"id": 1, "rows": [["x", "y"]]}
         finally:
             a.close()
@@ -233,9 +241,16 @@ class TestProtocolV2:
             "TRUTH flies (tweety);",
         ):
             (result,) = session.run(hql)
-            as_json = protocol.serialize_result(result, render=False)
-            as_bin = protocol.serialize_result(result, render=False, binary=True)
             decoded = protocol.decode_body(
-                protocol.encode_body(as_bin, wire_format="binary")
-            )
-            assert decoded == as_json
+                protocol.encode_body(protocol.serialize_result(result, render=False))
+            )["payload"]
+            if result.kind == "truth":
+                assert decoded is result.payload
+            elif result.kind == "count":
+                assert decoded == result.payload
+            elif result.kind == "extension":
+                assert decoded == [list(row) for row in result.payload]
+            else:
+                assert decoded["tuples"] == [
+                    [list(t.item), t.truth] for t in result.payload.tuples()
+                ]

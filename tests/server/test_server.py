@@ -1,6 +1,7 @@
 """Integration tests: a live in-process server driven over real sockets."""
 
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -40,14 +41,11 @@ def make_client(port, **kw):
 
 
 class TestBasics:
-    wire_format = None  # the client default: binary
-
     def test_hello_and_query(self, live_server):
         server, host, port = live_server
-        with HQLClient(host=host, port=port, wire_format=self.wire_format) as client:
+        with HQLClient(host=host, port=port) as client:
             assert client.hello["database"] == "live"
             assert client.hello["protocol"] == protocol.PROTOCOL_VERSION
-            assert client.wire_format == (self.wire_format or "binary")
             results = client.execute(SETUP)
             assert len(results) == 5
             assert client.truth("flies", ["tweety"]) is True
@@ -65,7 +63,7 @@ class TestBasics:
 
         monkeypatch.setattr(executor, "render_rows", counting)
         server, host, port = live_server
-        with HQLClient(host=host, port=port, wire_format=self.wire_format) as client:
+        with HQLClient(host=host, port=port) as client:
             client.execute(SETUP)
             bare = client.query("EXTENSION flies;", render=False)
             assert bare.payload == [["tweety"]]
@@ -75,8 +73,8 @@ class TestBasics:
 
     def test_sessions_are_isolated_executors(self, live_server):
         server, host, port = live_server
-        a = make_client(port, wire_format=self.wire_format)
-        b = make_client(port, wire_format=self.wire_format)
+        a = make_client(port)
+        b = make_client(port)
         try:
             a.execute(SETUP)
             a.execute("BEGIN; ASSERT NOT flies (tweety);")
@@ -92,7 +90,7 @@ class TestBasics:
 
     def test_error_midscript_reports_prior_results(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             client.execute(SETUP)
             with pytest.raises(RemoteError) as excinfo:
                 client.execute("COUNT flies; COUNT nonexistent;")
@@ -126,15 +124,62 @@ class TestBasics:
             sock.close()
 
 
-class TestTransactionsOverTheWire:
-    wire_format = None  # the client default: binary
+class TestBodyKind:
+    """A reply's body kind follows from what it carries: row columns
+    make a columnar container, every other reply is JSON."""
 
+    @staticmethod
+    def _body(sock, message):
+        protocol.send_frame(sock, message)
+        reader = sock.makefile("rb")
+        (length,) = struct.unpack("!I", reader.read(4))
+        return reader.read(length)
+
+    def test_rows_make_a_container_and_nothing_else_does(self, live_server):
+        server, host, port = live_server
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        try:
+            protocol.check_hello(protocol.recv_frame(sock))
+            assert self._body(sock, {"id": 1, "op": "query", "hql": SETUP})[:1] == b"{"
+            select = {"id": 2, "op": "query", "hql": "SELECT FROM flies;"}
+            assert self._body(sock, select)[:4] == b"RBC2"
+            for message in (
+                {"id": 3, "op": "query", "hql": "TRUTH flies (tweety);"},
+                {"id": 4, "op": "query", "hql": "COUNT flies;"},
+                {"id": 5, "op": "admin", "cmd": "ping"},
+                {"id": 6, "op": "query", "hql": "COUNT nonexistent;"},
+            ):
+                assert self._body(sock, message)[:1] == b"{", message
+        finally:
+            sock.close()
+
+    def test_a_format_field_selects_nothing(self, live_server):
+        server, host, port = live_server
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        try:
+            protocol.check_hello(protocol.recv_frame(sock))
+            self._body(sock, {"id": 1, "op": "query", "hql": SETUP})
+            for hql in ("SELECT FROM flies;", "TRUTH flies (tweety);"):
+                plain = self._body(sock, {"id": 2, "op": "query", "hql": hql})
+                asked = self._body(
+                    sock, {"id": 2, "op": "query", "hql": hql, "format": "json"}
+                )
+                assert asked[:4] == plain[:4]
+                decoded = [protocol.decode_body(body) for body in (plain, asked)]
+                for wire in decoded:
+                    del wire["results"][0]["elapsed_ms"]
+                assert decoded[0] == decoded[1]
+        finally:
+            sock.close()
+
+
+class TestTransactionsOverTheWire:
     def test_disconnect_rolls_back_open_transaction(self, live_server):
         server, host, port = live_server
-        observer = make_client(port, wire_format=self.wire_format)
+        observer = make_client(port)
         try:
             observer.execute(SETUP)
-            doomed = make_client(port, wire_format=self.wire_format)
+            doomed = make_client(port)
             doomed.execute("BEGIN; ASSERT NOT flies (tweety);")
             doomed.close()  # vanish without COMMIT
             deadline = time.time() + 5
@@ -147,7 +192,7 @@ class TestTransactionsOverTheWire:
 
     def test_txn_flag_tracks_server_state(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             client.execute(SETUP)
             assert not client.in_transaction
             client.execute("BEGIN;")
@@ -157,15 +202,13 @@ class TestTransactionsOverTheWire:
 
 
 class TestConcurrency:
-    wire_format = None  # the client default: binary
-
     def test_read_statements_overlap(self, live_server):
         """Many clients hammering threaded reads must actually hold the
         shared lock together — the lock's high-water mark is the proof.
         COUNT, not TRUTH: a TRUTH answers on the event loop without
         yielding, so truth questions never overlap one another."""
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as setup:
+        with make_client(port) as setup:
             setup.execute(SETUP)
         workers = 4
         barrier = threading.Barrier(workers)
@@ -173,7 +216,7 @@ class TestConcurrency:
 
         def reader():
             try:
-                with make_client(port, wire_format=self.wire_format) as client:
+                with make_client(port) as client:
                     barrier.wait(timeout=10)
                     for _ in range(40):
                         client.count("flies")
@@ -190,7 +233,7 @@ class TestConcurrency:
 
     def test_concurrent_writers_all_land(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as setup:
+        with make_client(port) as setup:
             setup.execute(
                 "CREATE HIERARCHY h; CREATE RELATION r (x: h);"
             )
@@ -198,7 +241,7 @@ class TestConcurrency:
                 setup.execute("CREATE INSTANCE i{} IN h;".format(i))
 
         def writer(i):
-            with make_client(port, wire_format=self.wire_format) as client:
+            with make_client(port) as client:
                 client.execute("ASSERT r (i{});".format(i))
 
         threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
@@ -206,16 +249,14 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join(30)
-        with make_client(port, wire_format=self.wire_format) as check:
+        with make_client(port) as check:
             assert check.count("r") == 8
 
 
 class TestAdmin:
-    wire_format = None  # the client default: binary
-
     def test_ping_stats_sessions(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             assert client.ping() is True
             stats = client.stats()
             assert stats["database"] == "live"
@@ -226,7 +267,7 @@ class TestAdmin:
 
     def test_metrics_text_is_prometheus(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             client.execute(SETUP)
             text = client.metrics_text()
             assert "server_connections" in text
@@ -234,7 +275,7 @@ class TestAdmin:
 
     def test_unknown_admin_command(self, live_server):
         server, host, port = live_server
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             with pytest.raises(RemoteError):
                 client.admin("self-destruct")
 
@@ -251,13 +292,11 @@ class TestAdmin:
 
 
 class TestShutdown:
-    wire_format = None  # the client default: binary
-
     def test_graceful_shutdown_refuses_new_connections(self):
         server = HQLServer(HierarchicalDatabase("bye"), port=0)
         runner = ServerThread(server)
         host, port = runner.start()
-        with make_client(port, wire_format=self.wire_format) as client:
+        with make_client(port) as client:
             client.execute(SETUP)
         runner.shutdown()
         with pytest.raises(ServerError):
@@ -266,25 +305,3 @@ class TestShutdown:
     def test_database_and_data_dir_are_exclusive(self, tmp_path):
         with pytest.raises(ServerError):
             HQLServer(HierarchicalDatabase("x"), data_dir=str(tmp_path))
-
-
-# ----------------------------------------------------------------------
-# the same behaviour over the v1 JSON wire — what a v1 peer, or a client
-# built with ``wire_format="json"``, speaks.  (Subclasses rather than
-# ``parametrize`` so the binary tests keep their ids.)
-# ----------------------------------------------------------------------
-
-class TestBasicsJson(TestBasics):
-    wire_format = "json"
-
-
-class TestTransactionsOverTheWireJson(TestTransactionsOverTheWire):
-    wire_format = "json"
-
-
-class TestConcurrencyJson(TestConcurrency):
-    wire_format = "json"
-
-
-class TestAdminJson(TestAdmin):
-    wire_format = "json"

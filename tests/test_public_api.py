@@ -100,6 +100,28 @@ class TestNoKnobComesBack:
         for gone in ("pack_postings", "unpack_postings", "_relation_postings"):
             assert not hasattr(repro.engine.codec, gone), gone
 
+    def test_one_body_format_rule(self):
+        """A reply's body format follows from what it carries: nothing
+        negotiates it, no flag or keyword picks it, and no hello
+        advertises a choice."""
+        import pytest
+
+        import repro.engine.codec
+        import repro.server.protocol
+        from repro.cli import _build_parser
+        from repro.client import HQLClient
+
+        with pytest.raises(SystemExit):  # argparse: unrecognized arguments
+            _build_parser().parse_args(["connect", "--wire-format", "json"])
+        for gone in ("WIRE_FORMATS", "hello_formats", "SUPPORTED_PROTOCOLS"):
+            assert not hasattr(repro.server.protocol, gone), gone
+        assert not hasattr(repro.engine.codec, "FORMAT_JSON")
+        hello = repro.server.protocol.hello("db", 1, "1.0", 1024)
+        assert "formats" not in hello
+        assert not hasattr(HQLClient(), "preferred_format")
+        with pytest.raises(ValueError):
+            HQLClient(wire_format="json")
+
     def test_planner_decides_nothing(self):
         """No plan, no estimate, no settable value: ``repro.planner``
         keeps only the statistics the benchmark times, and nothing in
