@@ -62,7 +62,7 @@ def main() -> None:
     print("  pingo flies?", db.relation("flies").holds("pingo"))
     print()
 
-    path = os.path.join(tempfile.gettempdir(), "repro_zoo.json")
+    path = os.path.join(tempfile.gettempdir(), "repro_zoo.db")
     session.run("SAVE '{}';".format(path))
     reloaded = HierarchicalDatabase.load(path)
     print("reloaded from {}: tweety flies? {}".format(

@@ -2,9 +2,9 @@
 
 Commands
 --------
-``repl [db.json]``
+``repl [FILE]``
     Start the interactive HQL shell, optionally over a saved database.
-``run script.hql [--db db.json] [--save out.json]``
+``run script.hql [--db FILE] [--save FILE]``
     Execute an HQL script file (against a loaded database if ``--db``),
     print each result, optionally save the final state.
 ``serve [--data-dir DIR] [--port P] [--admin-port P] ...``
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command")
 
     repl = commands.add_parser("repl", help="interactive HQL shell")
-    repl.add_argument("database", nargs="?", help="a saved database (JSON)")
+    repl.add_argument("database", nargs="?", help="a saved database (SAVE / --save file)")
 
     run = commands.add_parser("run", help="execute an HQL script file")
     run.add_argument("script", help="path to the .hql file")

@@ -140,8 +140,8 @@ class HRelation:
         """Trusted bulk load for snapshot recovery.
 
         Replaces the stored tuples wholesale without per-item schema
-        checks (the pairs came out of a snapshot this schema wrote) and
-        without per-item version bumps.  ``version`` restores the
+        checks (the snapshot reader checked each attribute's distinct
+        values against the schema) and without per-item version bumps.  ``version`` restores the
         counter the snapshot recorded, so a relation reads the same
         version after a restart as before it (no memo keyed on it
         outlives the process), and the delta floor advances to it, so

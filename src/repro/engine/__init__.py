@@ -6,9 +6,10 @@ knowledge representation system or a semantic net".  This package is
 that back-end: a catalog of hierarchies and relations
 (:class:`HierarchicalDatabase`), transactions that refuse to commit an
 unresolved conflict (section 3.1's "whenever an update is made we
-require that the update does not create an unresolved conflict"), JSON
-persistence, and a small statement language (HQL) exposing every model
-operation.
+require that the update does not create an unresolved conflict"),
+persistence in one binary format (a saved file and a server's
+``snapshot.bin`` are the same bytes), and a small statement language
+(HQL) exposing every model operation.
 """
 
 from repro.engine.database import HierarchicalDatabase

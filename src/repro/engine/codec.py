@@ -41,7 +41,7 @@ import sys
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ProtocolError, ReproError, StorageError
+from repro.errors import ProtocolError, ReproError, SchemaError, StorageError, UnknownNodeError
 
 #: First bytes of a binary wire-message body.  JSON bodies start with
 #: ``{`` (0x7b), so one prefix comparison classifies a frame.
@@ -150,10 +150,13 @@ def pack_rows(rows: Sequence[Sequence[str]], width: int) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_columns(block: bytes) -> Tuple[int, int, List[List[str]]]:
+def _unpack_columns(block: bytes) -> Tuple[int, List[List[str]], List[List[str]]]:
+    """``(nrows, dictionaries, columns)``: per attribute, its distinct
+    values and its values row by row."""
     (nrows,) = _U32.unpack_from(block, 0)
     (width,) = _U32.unpack_from(block, 4)
     offset = 8
+    dictionaries: List[List[str]] = []
     columns: List[List[str]] = []
     for _ in range(width):
         (dict_size,) = _U32.unpack_from(block, offset)
@@ -172,18 +175,19 @@ def _unpack_columns(block: bytes) -> Tuple[int, int, List[List[str]]]:
         offset += nbytes
         if sys.byteorder == "big":
             id_array.byteswap()
+        dictionaries.append(names)
         columns.append(list(map(names.__getitem__, id_array)))
-    return nrows, width, columns
+    return nrows, dictionaries, columns
 
 
 def unpack_rows(block: bytes) -> List[List[str]]:
     """Rows back out of :func:`pack_rows`, as lists of strings — the
     exact JSON wire shape, so message decoding can splice them in
     without a per-row conversion pass."""
-    nrows, width, columns = _unpack_columns(block)
-    if width == 0:
+    nrows, _, columns = _unpack_columns(block)
+    if not columns:
         return [[] for _ in range(nrows)]
-    if width == 1:
+    if len(columns) == 1:
         return [[value] for value in columns[0]]
     return list(map(list, zip(*columns)))
 
@@ -191,8 +195,8 @@ def unpack_rows(block: bytes) -> List[List[str]]:
 def unpack_row_tuples(block: bytes) -> List[Tuple[str, ...]]:
     """Rows as tuples — for the snapshot path, where they become the
     relation's item keys directly (``tuple()`` of a tuple is free)."""
-    nrows, width, columns = _unpack_columns(block)
-    if width == 0:
+    nrows, _, columns = _unpack_columns(block)
+    if not columns:
         return [()] * nrows
     return list(zip(*columns))
 
@@ -342,10 +346,13 @@ def is_binary_body(body: bytes) -> bool:
 
 
 def encode_snapshot(database, extra: Optional[Dict[str, Any]] = None) -> bytes:
-    """The whole database as one ``snapshot.bin`` byte string.
+    """The whole database as one byte string: a data directory's
+    ``snapshot.bin`` and a ``SAVE`` file alike.
 
-    Carries everything :func:`repro.engine.storage.database_to_dict`
-    carries plus the hierarchy and relation version counters.
+    Carries the catalog (hierarchy node tables, preference edges,
+    relation schemas and strategies), every stored tuple with its sign,
+    the view definitions, and the hierarchy and relation version
+    counters.
     """
     blocks: List[bytes] = []
     hierarchies = []
@@ -418,13 +425,14 @@ def snapshot_envelope(data: bytes) -> Dict[str, Any]:
 def decode_snapshot(data: bytes):
     """Rebuild ``(database, envelope)`` from :func:`encode_snapshot`.
 
-    The rebuild is the trusted bulk path throughout: hierarchies load
-    their node tables without per-node validation and relations load
-    their tuple dicts without per-item schema checks.  No evaluator is
-    built here; each relation sweeps at its first read.  A
-    :class:`~repro.errors.ReproError` raised while rebuilding (a view
-    over an unknown node, say) is a fact about the data, not damage to
-    the file, and passes through as it would from the JSON reader.
+    The one reader of a database file, which may come from outside
+    the process: node tables are checked by
+    :meth:`~repro.hierarchy.graph.Hierarchy.from_node_table` and row
+    blocks by :func:`_check_columns`, at a cost linear in the catalog
+    with no work per tuple.  No evaluator is built; each relation
+    sweeps at its first read.  A :class:`~repro.errors.ReproError`
+    raised while rebuilding (a view over an unknown node, say) is a
+    fact about the data, not damage to the file, and keeps its type.
     """
     from repro.core.preemption import STRATEGIES
     from repro.engine.database import HierarchicalDatabase
@@ -450,10 +458,10 @@ def decode_snapshot(data: bytes):
             hierarchy = Hierarchy.from_node_table(
                 spec["name"],
                 spec.get("root") or "thing",
-                [(node, tuple(parents), bool(instance)) for node, parents, instance in spec["nodes"]],
+                spec["nodes"],
                 prefs=spec.get("preference_edges", ()),
+                version=int(spec.get("version", 1)),
             )
-            hierarchy._version = int(spec.get("version", hierarchy.version))
             database.register_hierarchy(hierarchy)
         for spec in envelope.get("relations", ()):
             strategy_name = spec.get("strategy", "off-path")
@@ -467,10 +475,11 @@ def decode_snapshot(data: bytes):
                 strategy=STRATEGIES[strategy_name],
             )
             count = int(spec["count"])
-            items = unpack_row_tuples(blocks[spec["rows"]])
+            nrows, dictionaries, columns = _unpack_columns(blocks[spec["rows"]])
+            _check_columns(relation, nrows, count, dictionaries)
             truths = unpack_signs(blocks[spec["signs"]], count)
             relation.load_tuples(
-                zip(items, truths), version=int(spec.get("version", count))
+                zip(zip(*columns), truths), version=int(spec.get("version", count))
             )
         for spec in envelope.get("views", ()):
             database.define_view(
@@ -484,3 +493,30 @@ def decode_snapshot(data: bytes):
     except (KeyError, IndexError, TypeError, ValueError, struct.error) as exc:
         raise StorageError("corrupt binary snapshot: {}".format(exc)) from None
     return database, envelope
+
+
+def _check_columns(relation, nrows: int, count: int, dictionaries) -> None:
+    """A row block fits its relation: the schema's width, the row
+    count the envelope states, and only nodes of each attribute's
+    hierarchy in its dictionary."""
+    schema = relation.schema
+    if len(dictionaries) != schema.arity:
+        raise SchemaError(
+            "relation {!r}: stored rows have arity {}, expected {}".format(
+                relation.name, len(dictionaries), schema.arity
+            )
+        )
+    if nrows != count:
+        raise StorageError(
+            "corrupt binary snapshot: relation {!r} holds {} rows, its header says {}".format(
+                relation.name, nrows, count
+            )
+        )
+    for names, hierarchy in zip(dictionaries, schema.hierarchies):
+        for name in names:
+            if name not in hierarchy:
+                raise UnknownNodeError(
+                    "relation {!r}: unknown node {!r} in hierarchy {!r}".format(
+                        relation.name, name, hierarchy.name
+                    )
+                )

@@ -302,6 +302,26 @@ class HierarchicalDatabase:
 
         return execute(self, text)
 
+    def adopt(self, source: "HierarchicalDatabase") -> None:
+        """Replace this catalog with ``source``'s, in place: ``LOAD``
+        and a follower's resync.
+
+        Sessions, servers and metrics hold this database *object*, so
+        its contents are swapped rather than the object.  Views are
+        re-planned here so their resolvers track this catalog, not the
+        donor's, and the query cache is cleared: every catalogued
+        object was replaced and its version counters restarted.  A
+        server caller must hold the write lock.
+        """
+        self.name = source.name
+        self.hierarchies = source.hierarchies
+        self.relations = source.relations
+        for name in list(self.view_definitions):
+            self.drop_view(name)
+        for name, spec in source.view_definitions.items():
+            self.define_view(name, spec["op"], spec["sources"], spec["conditions"] or None)
+        self.query_cache.clear()
+
     def save(self, path: str) -> None:
         from repro.engine.storage import save_database
 

@@ -714,27 +714,17 @@ class HQLExecutor:
     def _exec_load(self, stmt: ast.Load) -> Result:
         from repro.engine.storage import load_database
 
+        if self.log is not None:
+            # The journal records statements, not files: a LOAD would
+            # reach neither recovery nor a follower, and the writes
+            # journalled after it would replay against the old catalog.
+            raise HQLError(
+                "LOAD is refused on a durable database: its journal cannot "
+                "record it (serve the file with --db instead)"
+            )
         if self._transaction is not None:
             raise HQLError("cannot LOAD inside a transaction")
-        loaded = load_database(stmt.path)
-        self.database.name = loaded.name
-        self.database.hierarchies = loaded.hierarchies
-        self.database.relations = loaded.relations
-        # Views must be re-planned against *this* database so their
-        # resolvers track future DROP/CREATE in its catalog (the loaded
-        # object's plans are bound to the loaded object).
-        if hasattr(self.database, "define_view"):
-            for name in list(getattr(self.database, "view_definitions", {})):
-                self.database.drop_view(name)
-            for name, spec in getattr(loaded, "view_definitions", {}).items():
-                self.database.define_view(
-                    name, spec["op"], spec["sources"], spec["conditions"] or None
-                )
-        # Every catalogued object was just replaced wholesale; version
-        # counters restarted, so the whole cache is unsound.
-        cache = self._query_cache()
-        if cache is not None:
-            cache.clear()
+        self.database.adopt(load_database(stmt.path))
         return Result(kind="ok", message="loaded from {}".format(stmt.path))
 
 

@@ -1,6 +1,6 @@
 """An interactive HQL shell.
 
-``python -m repro.engine.repl [database.json]`` starts a session; every
+``python -m repro.engine.repl [FILE]`` starts a session; every
 line is parsed as HQL (statements may span lines until the terminating
 ``;``).  Meta-commands: ``\\q`` quits, ``\\h`` prints help.  Errors are
 reported and the session continues.  The class is stream-parameterised

@@ -43,6 +43,12 @@ from repro.hierarchy import algorithms
 _WORD = (1 << 64) - 1  # one saturated word of a rank bitset
 
 
+def _instance_parent_error(child: str, parent: str) -> HierarchyError:
+    return HierarchyError(
+        "cannot derive {!r} from instance {!r}: instances are leaves".format(child, parent)
+    )
+
+
 class Hierarchy:
     """A rooted DAG of classes with instances at the leaves.
 
@@ -117,11 +123,7 @@ class Hierarchy:
         for parent in parent_list:
             self._require(parent)
             if parent in self._instances:
-                raise HierarchyError(
-                    "cannot derive {!r} from instance {!r}: instances are leaves".format(
-                        name, parent
-                    )
-                )
+                raise _instance_parent_error(name, parent)
         self._children[name] = set()
         self._parents[name] = set()
         self._insertion.append(name)
@@ -142,11 +144,7 @@ class Hierarchy:
         self._require(parent)
         self._require(child)
         if parent in self._instances:
-            raise HierarchyError(
-                "cannot derive {!r} from instance {!r}: instances are leaves".format(
-                    child, parent
-                )
-            )
+            raise _instance_parent_error(child, parent)
         if child == parent or self.subsumes(child, parent):
             raise CycleError(
                 "edge {!r} -> {!r} would create a cycle (type irredundancy)".format(
@@ -660,35 +658,65 @@ class Hierarchy:
         root: str,
         nodes: Iterable[Tuple[str, Sequence[str], bool]],
         prefs: Iterable[Tuple[str, str]] = (),
+        version: int = 1,
     ) -> "Hierarchy":
-        """Bulk-load an already-validated node table (binary snapshot
-        recovery).
+        """Bulk-load a node table (snapshot decode): ``(name, parents,
+        is_instance)`` triples in insertion order, no listed parents
+        meaning the root, and ``version`` the saved mutation counter.
 
-        ``nodes`` is ``(name, parents, is_instance)`` triples in an
-        order where parents precede children (insertion or topological
-        order both qualify); a node with no listed parents hangs under
-        the root.  The per-node API checks in :meth:`_add_node` are
-        skipped — the snapshot serialised a graph that already holds the
-        invariants — and no cache is touched, so loading stays linear in
-        the table size.
+        Every node is created before any parent is linked, so a table
+        loads in any order.  It is checked as the per-node API checks,
+        with the same typed errors (empty or duplicate name, unknown
+        parent, instance parent, cycle), in time linear in the table:
+        only a table listing some parent after its child can hold a
+        class cycle, and that one is checked by the
+        :meth:`topological_order` its first read would compute anyway.
         """
         hierarchy = cls(name, root=root)
         children = hierarchy._children
         parents_of = hierarchy._parents
-        insertion = hierarchy._insertion
         instances = hierarchy._instances
-        for node, parents, is_instance in nodes:
-            parent_list = tuple(parents) or (root,)
-            children[node] = set()
-            parents_of[node] = set(parent_list)
-            insertion.append(node)
-            for parent in parent_list:
+        table = list(nodes)
+        names = [node for node, _, _ in table]
+        children.update({node: set() for node in names})
+        if len(children) != len(names) + 1 or not all(names):
+            seen = {root}
+            for node in names:
+                if not node:
+                    raise HierarchyError("node name must be non-empty")
+                if node in seen:
+                    raise DuplicateNodeError(
+                        "node {!r} already exists in hierarchy {!r}".format(node, name)
+                    )
+                seen.add(node)
+        hierarchy._insertion.extend(names)
+        instances.update(node for node, _, is_instance in table if is_instance)
+        # ``parents_of`` holds exactly the nodes linked so far, so a
+        # parent missing from it is listed after its child.
+        parent_first = True
+        for node, parents, _ in table:
+            parent_set = set(parents) or {root}
+            for parent in parent_set:
+                if parent not in parents_of:
+                    hierarchy._require(parent)
+                    parent_first = False
                 children[parent].add(node)
-            if is_instance:
-                instances.add(node)
-        hierarchy._version += 1
+            parents_of[node] = parent_set
+        for instance in instances:
+            if children[instance]:
+                raise _instance_parent_error(min(children[instance]), instance)
+        pref_children = hierarchy._pref_children
+        pref_parents = hierarchy._pref_parents
         for weaker, stronger in prefs:
-            hierarchy.add_preference_edge(weaker, stronger)
+            hierarchy._require(weaker)
+            hierarchy._require(stronger)
+            pref_children.setdefault(weaker, set()).add(stronger)
+            pref_parents.setdefault(stronger, set()).add(weaker)
+        hierarchy._version = version
+        if not parent_first:
+            hierarchy._order()  # CycleError on a class cycle
+        if pref_children:
+            algorithms.topological_order(hierarchy.binding_graph())
         return hierarchy
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ read/write routing in :mod:`repro.client`.
 
 from repro.replication.follower import (
     LeaderLink,
-    adopt_database,
     decode_snapshot_payload,
     parse_addr,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "FollowerState",
     "LeaderLink",
     "LeaderState",
-    "adopt_database",
     "bump_generation",
     "decode_snapshot_payload",
     "load_generation",

@@ -70,29 +70,6 @@ def decode_snapshot_payload(payload: Dict[str, Any]):
     raise ReplicationError("leader shipped unknown snapshot format {!r}".format(fmt))
 
 
-def adopt_database(target, source) -> None:
-    """Replace ``target``'s catalog with ``source``'s, in place.
-
-    Sessions and metrics hold references to the served database
-    *object*, so a resync must swap its contents rather than the
-    object — the same adoption the executor's ``LOAD`` performs.  The
-    caller must hold the server's write lock.
-    """
-    target.name = source.name
-    target.hierarchies = source.hierarchies
-    target.relations = source.relations
-    # Views re-plan against the adopting database so their resolvers
-    # track its catalog, not the donor's.
-    if hasattr(target, "define_view"):
-        for name in list(getattr(target, "view_definitions", {})):
-            target.drop_view(name)
-        for name, spec in getattr(source, "view_definitions", {}).items():
-            target.define_view(name, spec["op"], spec["sources"], spec["conditions"] or None)
-    cache = getattr(target, "query_cache", None)
-    if cache is not None:
-        cache.clear()
-
-
 class LeaderLink:
     """One replication connection from a follower to its leader."""
 

@@ -42,6 +42,9 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine import storage
+from repro.errors import StorageError
+
 GENERATION_FILE = "generation"
 
 #: Entries shipped per poll response, a frame-size guard: 2k statements
@@ -67,10 +70,10 @@ def bump_generation(data_dir: str) -> int:
     leader boot, so every incarnation is distinguishable on the wire."""
     generation = load_generation(data_dir) + 1
     path = os.path.join(data_dir, GENERATION_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{}\n".format(generation))
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        storage.write_bytes_atomic(path, "{}\n".format(generation).encode("ascii"))
+    except OSError as exc:
+        raise StorageError("cannot write {}: {}".format(path, exc)) from exc
     return generation
 
 

@@ -45,7 +45,7 @@ from typing import Any, Dict, Optional
 
 from repro.engine.database import HierarchicalDatabase
 from repro.engine.oplog import OperationLog
-from repro.engine.storage import read_binary_snapshot, save_database_binary
+from repro.engine.storage import read_database, save_database
 from repro.errors import StorageError
 
 SNAPSHOT_FILE = "snapshot.bin"
@@ -103,7 +103,7 @@ class RecoveryManager:
             "discarded_stale_log": False,
         }
         if os.path.exists(self.snapshot_path):
-            database, envelope = read_binary_snapshot(self.snapshot_path)
+            database, envelope = read_database(self.snapshot_path)
             self.checkpoint_id = int(envelope.get("checkpoint", 0))
             info["snapshot"] = True
             info["checkpoint"] = self.checkpoint_id
@@ -162,9 +162,7 @@ class RecoveryManager:
         true again after another ``snapshot_interval`` writes."""
         stamp = self.checkpoint_id + 1
         self._journalled_since_attempt = 0
-        save_database_binary(
-            database, self.snapshot_path, extra={"checkpoint": stamp}
-        )
+        save_database(database, self.snapshot_path, extra={"checkpoint": stamp})
         self.checkpoint_id = stamp
         self.journal.reset(checkpoint=stamp)
         self._journalled_since_checkpoint = 0

@@ -43,13 +43,12 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
-from repro.engine import codec
+from repro.engine import codec, storage
 from repro.errors import ReplicationError
 from repro.replication import (
     FollowerState,
     LeaderLink,
     LeaderState,
-    adopt_database,
     decode_snapshot_payload,
 )
 
@@ -126,16 +125,11 @@ async def _handle_snapshot(server, leader: LeaderState, request_id) -> Dict[str,
             # Never checkpointed: the journal alone is the whole state.
             snapshot["format"] = "none"
         else:
-            raw = await asyncio.to_thread(_read_file, recovery.snapshot_path)
+            raw = await asyncio.to_thread(storage.read_bytes, recovery.snapshot_path)
             snapshot["format"] = codec.FORMAT_BINARY
             snapshot["data"] = base64.b64encode(raw).decode("ascii")
     server._m_repl_snapshots.inc()
     return {"id": request_id, "ok": True, "snapshot": snapshot}
-
-
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 async def _handle_poll(server, leader: LeaderState, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -308,7 +302,7 @@ class FollowerTask:
         payload = await self.link.fetch_snapshot()
         database, checkpoint = await asyncio.to_thread(decode_snapshot_payload, payload)
         async with self.server.lock.write_locked():
-            await asyncio.to_thread(adopt_database, self.server.database, database)
+            await asyncio.to_thread(self.server.database.adopt, database)
         self.state.generation = int(payload.get("generation") or generation)
         self.state.checkpoint = checkpoint
         self.state.offset = 0

@@ -51,9 +51,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+from repro.engine import storage
 from repro.engine.database import HierarchicalDatabase
 from repro.errors import (
     QuotaExceededError,
+    StorageError,
     TenantError,
     TenantQuarantinedError,
     UnknownTenantError,
@@ -412,8 +414,11 @@ class TenantRegistry:
         if self.data_dir is None:
             return
         path = os.path.join(self._tenant_dir(name), TENANT_META_FILE)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"tenant": name, "quotas": quotas.to_dict()}, handle, indent=1)
+        payload = json.dumps({"tenant": name, "quotas": quotas.to_dict()}, indent=1)
+        try:
+            storage.write_bytes_atomic(path, payload.encode("utf-8"))
+        except OSError as exc:
+            raise StorageError("cannot write {}: {}".format(path, exc)) from exc
 
     # ------------------------------------------------------------------
     # lookup
@@ -472,9 +477,9 @@ class TenantRegistry:
             database = recovery.recover()
         else:
             database = HierarchicalDatabase(name)
+        self._save_quotas(name, quotas)
         tenant = Tenant(name, database, recovery, quotas=quotas)
         self.tenants[name] = tenant
-        self._save_quotas(name, quotas)
         return tenant
 
     def drop(self, name: str) -> Tenant:
@@ -495,8 +500,8 @@ class TenantRegistry:
 
     def set_quotas(self, name: str, quotas: TenantQuotas) -> Tenant:
         tenant = self.get(name)
-        tenant.quotas = quotas
         self._save_quotas(name, quotas)
+        tenant.quotas = quotas
         return tenant
 
     # ------------------------------------------------------------------

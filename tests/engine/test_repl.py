@@ -84,7 +84,7 @@ class TestRepl:
 
 class TestPersistenceMetaCommands:
     def test_save_and_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "session.json")
+        path = str(tmp_path / "session.db")
         out = run_session(
             "CREATE HIERARCHY h;\n"
             "CREATE RELATION r (x: h);\n"
@@ -101,19 +101,19 @@ class TestPersistenceMetaCommands:
         assert "Traceback" not in out
 
     def test_save_to_unwritable_path_is_one_line_error(self):
-        out = run_session(".save /nonexistent-dir/x.json\n\\q\n")
+        out = run_session(".save /nonexistent-dir/x.db\n\\q\n")
         assert "error:" in out
         assert "Traceback" not in out
         assert out.rstrip().endswith("bye")  # session survived
 
     def test_load_missing_file_is_one_line_error(self):
-        out = run_session(".load /no/such/file.json\n\\q\n")
+        out = run_session(".load /no/such/file.db\n\\q\n")
         assert "error: no such database file" in out
         assert "Traceback" not in out
 
     def test_hql_save_statement_error_also_surfaced(self):
         """The quoted HQL flavour goes through execute(), which catches
         OSError too."""
-        out = run_session("SAVE '/nonexistent-dir/x.json';\n\\q\n")
+        out = run_session("SAVE '/nonexistent-dir/x.db';\n\\q\n")
         assert "error:" in out
         assert "Traceback" not in out

@@ -1,12 +1,14 @@
-"""Unit tests for JSON persistence."""
+"""Unit tests for database files: the ``RDB2`` snapshot container
+written by ``save_database`` and read back by ``load_database``."""
 
 import json
 
 import pytest
 
+from repro.engine import HierarchicalDatabase, codec, load_database, save_database
+from repro.engine.hql import HQLExecutor
+from repro.engine.storage import read_database
 from repro.errors import SchemaError, StorageError
-from repro.engine import HierarchicalDatabase, load_database, save_database
-from repro.engine.storage import database_from_dict, database_to_dict
 
 
 @pytest.fixture
@@ -24,9 +26,19 @@ def db():
     return database
 
 
+def write_envelope(path, database, edit):
+    """Save ``database`` to ``path`` with its envelope passed through
+    ``edit`` first."""
+    envelope, blocks = codec.decode_container(
+        codec.encode_snapshot(database), codec.SNAPSHOT_MAGIC
+    )
+    edit(envelope)
+    path.write_bytes(codec.encode_container(codec.SNAPSHOT_MAGIC, envelope, blocks))
+
+
 class TestRoundtrip:
     def test_full_roundtrip(self, db, tmp_path):
-        path = str(tmp_path / "zoo.json")
+        path = str(tmp_path / "zoo.rdb")
         save_database(db, path)
         loaded = load_database(path)
         assert loaded.name == "zoo"
@@ -41,62 +53,76 @@ class TestRoundtrip:
         assert flies.truth_of_stored(("penguin",)) is False
 
     def test_semantics_survive(self, db, tmp_path):
-        path = str(tmp_path / "zoo.json")
+        path = str(tmp_path / "zoo.rdb")
         db.save(path)
         loaded = HierarchicalDatabase.load(path)
         assert loaded.relation("flies").holds("tweety")
 
-    def test_dict_roundtrip_without_files(self, db):
-        loaded = database_from_dict(database_to_dict(db))
-        assert set(loaded.relations) == {"flies"}
+    def test_back_edge_hierarchy_roundtrips_through_save_and_load(self, tmp_path):
+        """``add_edge('b', 'a')`` gives ``a`` a parent inserted after
+        it, so the saved node table lists a child before its parent."""
+        database = HierarchicalDatabase("edges")
+        h = database.create_hierarchy("h")
+        h.add_class("a")
+        h.add_class("b")
+        h.add_edge("b", "a")
+        path = str(tmp_path / "edges.rdb")
+        session = HQLExecutor(database)
+        session.run("SAVE '{}';".format(path))
+        session.run("LOAD '{}';".format(path))
+        loaded = session.database.hierarchy("h")
+        assert loaded is not h
+        assert loaded.parents("a") == frozenset({"h", "b"})
+        assert set(loaded.edges()) == set(h.edges())
+        assert loaded.topological_order() == h.topological_order()
 
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
-            load_database(str(tmp_path / "nope.json"))
+            load_database(str(tmp_path / "nope.rdb"))
 
-    def test_corrupt_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
+    def test_corrupt_json(self, db, tmp_path):
+        """A JSON file, well-formed or not, is not a database file."""
+        for name, text in (
+            ("bad.json", "{not json"),
+            ("old.json", json.dumps({"format": "repro-db", "version": 2, "name": "zoo"})),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(StorageError, match="bad magic"):
+                load_database(str(path))
+        # LOAD of such a file is a typed error; the session keeps serving.
+        session = HQLExecutor(db)
         with pytest.raises(StorageError):
+            session.run("LOAD '{}';".format(tmp_path / "old.json"))
+        assert session.run("TRUTH flies (tweety);")[0].payload is True
+
+    def test_wrong_format_marker(self, db, tmp_path):
+        path = tmp_path / "other.rdb"
+        write_envelope(path, db, lambda envelope: envelope.update(format="something-else"))
+        with pytest.raises(StorageError, match="something-else"):
             load_database(str(path))
 
-    def test_wrong_format_marker(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(StorageError):
+    def test_wrong_version(self, db, tmp_path):
+        path = tmp_path / "v99.rdb"
+        write_envelope(path, db, lambda envelope: envelope.update(version=99))
+        with pytest.raises(StorageError, match="99"):
             load_database(str(path))
 
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "v99.json"
-        path.write_text(json.dumps({"format": "repro-db", "version": 99}))
-        with pytest.raises(StorageError):
+    def test_unknown_strategy(self, db, tmp_path):
+        path = tmp_path / "bogus.rdb"
+        write_envelope(
+            path, db, lambda envelope: envelope["relations"][0].update(strategy="bogus")
+        )
+        with pytest.raises(StorageError, match="bogus"):
             load_database(str(path))
-
-    def test_unknown_strategy(self):
-        payload = {
-            "format": "repro-db",
-            "version": 1,
-            "name": "x",
-            "hierarchies": [{"name": "h", "root": "h", "nodes": []}],
-            "relations": [
-                {
-                    "name": "r",
-                    "strategy": "bogus",
-                    "attributes": [["a", "h"]],
-                    "tuples": [],
-                }
-            ],
-        }
-        with pytest.raises(StorageError):
-            database_from_dict(payload)
 
     def test_atomic_write_leaves_no_tmp(self, db, tmp_path):
-        path = tmp_path / "zoo.json"
+        path = tmp_path / "zoo.rdb"
         save_database(db, str(path))
         assert path.exists()
-        assert not (tmp_path / "zoo.json.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["zoo.rdb"]
 
 
 class TestCrashSafeWrite:
@@ -107,18 +133,19 @@ class TestCrashSafeWrite:
 
         from repro.engine import storage
 
-        path = tmp_path / "zoo.json"
+        path = tmp_path / "zoo.rdb"
         save_database(db, str(path))
-        before = path.read_text()
+        before = path.read_bytes()
 
         def explode(src, dst):
             raise OSError("disk went away")
 
         monkeypatch.setattr(storage.os, "replace", explode)
+        db.relation("flies").assert_item(("tweety",))
         with pytest.raises(StorageError, match="cannot write"):
             save_database(db, str(path))
-        assert path.read_text() == before  # old file never touched
-        assert [p for p in os.listdir(tmp_path) if p != "zoo.json"] == []
+        assert path.read_bytes() == before  # old file never touched
+        assert [p for p in os.listdir(tmp_path) if p != "zoo.rdb"] == []
 
     def test_temp_file_written_in_same_directory(self, db, tmp_path, monkeypatch):
         """os.replace must not cross filesystems, so the temp file has
@@ -133,16 +160,15 @@ class TestCrashSafeWrite:
             return real_mkstemp(**kwargs)
 
         monkeypatch.setattr(storage.tempfile, "mkstemp", spy)
-        save_database(db, str(tmp_path / "sub.json"))
+        save_database(db, str(tmp_path / "sub.rdb"))
         assert seen["dir"] == str(tmp_path)
 
     def test_extra_keys_merge_and_survive_load(self, db, tmp_path):
-        from repro.engine.storage import read_payload
-
-        path = str(tmp_path / "stamped.json")
+        path = str(tmp_path / "stamped.rdb")
         save_database(db, path, extra={"checkpoint": 7})
-        assert read_payload(path)["checkpoint"] == 7
-        # Unknown top-level keys are ignored by the loader.
+        _, envelope = read_database(path)
+        assert envelope["checkpoint"] == 7
+        # Unknown envelope keys are ignored by the loader.
         assert load_database(path).name == "zoo"
 
 
@@ -152,7 +178,7 @@ class TestViews:
             ("penguin",)
         )
         db.define_view("movers", "union", ["flies", "swims"])
-        path = str(tmp_path / "views.json")
+        path = str(tmp_path / "views.rdb")
         save_database(db, path)
         loaded = load_database(path)
         assert loaded.view_definitions["movers"] == {
@@ -166,21 +192,9 @@ class TestViews:
         self, db, tmp_path
     ):
         db.define_view("grounded", "select", ["flies"], {"creature": "penguin"})
-        payload = database_to_dict(db)
-        payload["views"][0]["conditions"] = {"zz": "penguin"}
-        path = tmp_path / "bad_view.json"
-        path.write_text(json.dumps(payload))
+        path = tmp_path / "bad_view.rdb"
+        write_envelope(
+            path, db, lambda envelope: envelope["views"][0].update(conditions={"zz": "penguin"})
+        )
         with pytest.raises(SchemaError, match="view 'grounded'"):
             load_database(str(path))
-
-    def test_version_1_files_still_load(self, db, tmp_path):
-        """Format v2 added the views list; v1 payloads (no such key)
-        must keep loading."""
-        payload = database_to_dict(db)
-        payload["version"] = 1
-        payload.pop("views")
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        loaded = load_database(str(path))
-        assert loaded.relation("flies").holds("tweety")
-        assert loaded.view_definitions == {}

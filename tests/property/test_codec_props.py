@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bulk
+from repro.core.preemption import STRATEGIES
 from repro.engine import HierarchicalDatabase, codec
-from tests.property.strategies import relations
+from tests.property.strategies import hierarchies, relations
 
 
 def _nonzero(tables):
@@ -54,20 +55,69 @@ def test_snapshot_roundtrip_is_bit_identical(relation):
         assert copy_eval.truth(item) == original_eval.truth(item)
 
 
+@st.composite
+def with_instances(draw, hierarchy):
+    """``hierarchy`` with up to three instances added under its
+    classes (the drawn hierarchies hold classes only)."""
+    classes = hierarchy.nodes()
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        parents = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=2, unique=True))
+        hierarchy.add_instance("{}_i{}".format(hierarchy.name, i), parents=parents)
+    return hierarchy
+
+
+def assert_same_hierarchy(copy, original):
+    assert set(copy.nodes()) == set(original.nodes())
+    assert set(copy.edges()) == set(original.edges())
+    assert copy.preference_edges() == original.preference_edges()
+    for node in original.nodes():
+        assert copy.is_instance(node) == original.is_instance(node)
+
+
 @settings(max_examples=40, deadline=None)
-@given(relations(max_tuples=6, arity=2, consistent=False))
-def test_snapshot_roundtrip_binary_arity_two(relation):
+@given(
+    relations(
+        max_tuples=6, arity=2, consistent=False, redundant_edges=True, preference_edges=True
+    ),
+    st.sampled_from(sorted(STRATEGIES)),
+    st.data(),
+)
+def test_snapshot_roundtrip_binary_arity_two(relation, strategy, data):
+    relation.strategy = STRATEGIES[strategy]
     database = HierarchicalDatabase("prop2")
     for hierarchy in relation.schema.hierarchies:
         if hierarchy.name not in database.hierarchies:
-            database.register_hierarchy(hierarchy)
+            database.register_hierarchy(data.draw(with_instances(hierarchy)))
     database.register_relation(relation)
     recovered, _ = codec.decode_snapshot(codec.encode_snapshot(database))
     copy = recovered.relation(relation.name)
     assert copy.asserted == relation.asserted
+    assert copy.strategy.name == strategy
+    for original, restored in zip(relation.schema.hierarchies, copy.schema.hierarchies):
+        assert_same_hierarchy(restored, original)
     assert _nonzero(bulk.evaluator_for(copy)._postings) == _nonzero(
         bulk.evaluator_for(relation)._postings
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hierarchies(redundant_edges=True, preference_edges=True).flatmap(with_instances),
+    st.randoms(use_true_random=False),
+)
+def test_shuffled_node_table_loads_the_same_hierarchy(hierarchy, rng):
+    """Nodes are created before parents are linked, so a node table
+    loads in any order."""
+    database = HierarchicalDatabase("shuffled")
+    database.register_hierarchy(hierarchy)
+    envelope, blocks = codec.decode_container(
+        codec.encode_snapshot(database), codec.SNAPSHOT_MAGIC
+    )
+    rng.shuffle(envelope["hierarchies"][0]["nodes"])
+    recovered, _ = codec.decode_snapshot(
+        codec.encode_container(codec.SNAPSHOT_MAGIC, envelope, blocks)
+    )
+    assert_same_hierarchy(recovered.hierarchy(hierarchy.name), hierarchy)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,15 @@
 """Property tests for the newer layers: the condition language, the
-binder index, storage round-trips, and the appendix semantics checked
+binder index, and the appendix semantics checked
 against their literal definitions."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flat import from_hrelation
 from repro.core import ON_PATH, member, select_where
 from repro.core.binding import truth_and_binders
 from repro.core.where import And, Not, Or
 from repro.hierarchy import algorithms
-from tests.property.strategies import hierarchies, relations
+from tests.property.strategies import relations
 
 
 # ----------------------------------------------------------------------
@@ -118,33 +117,6 @@ def test_on_path_matches_path_avoidance_definition(r):
                 surviving.add(j)
         got = ON_PATH.strongest_binders(product, r.asserted, item)
         assert {b.item for b in got} == surviving
-
-
-# ----------------------------------------------------------------------
-# persistence round-trips
-# ----------------------------------------------------------------------
-
-
-@given(relations(arity=2, max_tuples=5))
-@settings(max_examples=40, deadline=None)
-def test_storage_roundtrip_preserves_everything(r):
-    from repro.engine import HierarchicalDatabase
-    from repro.engine.storage import database_from_dict, database_to_dict
-
-    db = HierarchicalDatabase("prop")
-    for hierarchy in r.schema.hierarchies:
-        db.register_hierarchy(hierarchy)
-    db.register_relation(r)
-    loaded = database_from_dict(database_to_dict(db))
-    restored = loaded.relation(r.name)
-    assert restored.asserted == r.asserted
-    for original, copy in zip(r.schema.hierarchies, restored.schema.hierarchies):
-        assert set(original.nodes()) == set(copy.nodes())
-        assert set(original.edges()) == set(copy.edges())
-        for node in original.nodes():
-            assert original.is_instance(node) == copy.is_instance(node)
-    # Same flat semantics after the round-trip.
-    assert from_hrelation(restored).rows() == from_hrelation(r).rows()
 
 
 # ----------------------------------------------------------------------

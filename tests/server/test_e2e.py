@@ -210,6 +210,8 @@ def test_failed_checkpoint_never_fails_the_write(tmp_path, monkeypatch):
     import os
 
     from repro.engine import storage
+    from repro.errors import StorageError
+    from repro.replication.state import load_generation
     from repro.server.recovery import SNAPSHOT_FILE
 
     def disk_full(path, data):
@@ -234,15 +236,22 @@ def test_failed_checkpoint_never_fails_the_write(tmp_path, monkeypatch):
     finally:
         runner.abort()
 
+    # A boot persists its leader generation through the same writer, so
+    # while the disk is full it fails, typed, and leaves the file as it was.
+    generation = load_generation(data_dir)
+    with pytest.raises(StorageError, match="generation"):
+        HQLServer(data_dir=data_dir, port=0, snapshot_interval=3)
+    assert load_generation(data_dir) == generation
+
+    # The disk recovers: the restart replays the journal, and the next
+    # due checkpoint lands.
+    monkeypatch.undo()
     reborn = HQLServer(data_dir=data_dir, port=0, snapshot_interval=3)
     assert reborn.recovery.last_recovery["snapshot"] is False
     assert reborn.recovery.last_recovery["replayed"] == 9
     assert {"i{}".format(i) for i in range(7)} <= set(
         reborn.database.hierarchies["h"].nodes()
     )
-
-    # The disk recovers: the next due checkpoint lands.
-    monkeypatch.undo()
     runner = ServerThread(reborn)
     _, port = runner.start()
     try:

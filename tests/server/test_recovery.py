@@ -8,12 +8,14 @@ preemption strategies, and materialized views.
 """
 
 import os
+import shutil
 
 import pytest
 
-from repro.engine import codec
+from repro.engine import HierarchicalDatabase, codec
 from repro.engine.hql import HQLExecutor
-from repro.engine.storage import save_database, save_database_binary
+from repro.engine.storage import load_database, save_database
+from repro.errors import CatalogError, HQLError
 from repro.server import RecoveryManager
 from repro.server.recovery import OPLOG_FILE, SNAPSHOT_FILE, V1_SNAPSHOT_FILE
 
@@ -27,6 +29,30 @@ CREATE RELATION flies (creature: animal);
 ASSERT flies (bird);
 ASSERT NOT flies (penguin);
 """
+
+
+#: What a v1 server wrote as ``snapshot.json`` (the ``flies`` sample,
+#: abridged): JSON text, which no reader of this release accepts.
+V1_SNAPSHOT_TEXT = """{
+  "format": "repro-db",
+  "version": 2,
+  "name": "server",
+  "hierarchies": [
+    {"name": "animal", "root": "animal", "preference_edges": [],
+     "nodes": [{"name": "bird", "parents": ["animal"], "instance": false}]}
+  ],
+  "relations": [
+    {"name": "flies", "strategy": "off-path",
+     "attributes": [["creature", "animal"]], "tuples": [[["bird"], true]]}
+  ],
+  "views": [],
+  "checkpoint": %d
+}
+"""
+
+
+def plant_v1_snapshot(path, checkpoint):
+    path.write_text(V1_SNAPSHOT_TEXT % checkpoint)
 
 
 def boot(data_dir, **kwargs):
@@ -179,9 +205,7 @@ class TestCrashOrderings:
         session.run(SETUP)
         # Step 1 of a checkpoint only: stamp generation 1 and die
         # before the journal rotation.
-        save_database_binary(
-            database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1}
-        )
+        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
         manager2, recovered, _ = boot(tmp_path)
         assert manager2.last_recovery["discarded_stale_log"] is True
         assert manager2.last_recovery["replayed"] == 0
@@ -223,7 +247,7 @@ class TestSnapshotFormats:
         manager.checkpoint(database)
         # Rewrite it as a plain v1 directory: JSON snapshot, no binary.
         os.unlink(str(tmp_path / SNAPSHOT_FILE))
-        save_database(database, str(tmp_path / V1_SNAPSHOT_FILE), extra={"checkpoint": 1})
+        plant_v1_snapshot(tmp_path / V1_SNAPSHOT_FILE, checkpoint=1)
         with pytest.raises(StorageError) as caught:
             boot(tmp_path)
         message = str(caught.value)
@@ -239,9 +263,7 @@ class TestSnapshotFormats:
         registry = TenantRegistry.durable(str(tmp_path))
         tenant = registry.create("old")
         HQLExecutor(tenant.database).run(SETUP)
-        save_database(
-            tenant.database, str(tmp_path / "old" / V1_SNAPSHOT_FILE), extra={"checkpoint": 1}
-        )
+        plant_v1_snapshot(tmp_path / "old" / V1_SNAPSHOT_FILE, checkpoint=1)
         registry2 = TenantRegistry.durable(str(tmp_path))
         assert "StorageError" in registry2.tenants["old"].quarantined
         assert V1_SNAPSHOT_FILE in registry2.tenants["old"].quarantined
@@ -256,7 +278,7 @@ class TestSnapshotFormats:
         whatever stamp the JSON file carries."""
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
-        save_database(database, str(tmp_path / V1_SNAPSHOT_FILE), extra={"checkpoint": 7})
+        plant_v1_snapshot(tmp_path / V1_SNAPSHOT_FILE, checkpoint=7)
         session.run("ASSERT flies (pingo);")
         manager.checkpoint(database)
         manager2, recovered, _ = boot(tmp_path)
@@ -271,9 +293,7 @@ class TestSnapshotFormats:
         replaced, crash before the journal reset."""
         manager, database, session = boot(tmp_path)
         session.run(SETUP)
-        save_database_binary(
-            database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1}
-        )
+        save_database(database, str(tmp_path / SNAPSHOT_FILE), extra={"checkpoint": 1})
         manager2, recovered, _ = boot(tmp_path)
         assert manager2.last_recovery["discarded_stale_log"] is True
         assert manager2.last_recovery["replayed"] == 0
@@ -297,3 +317,76 @@ class TestSnapshotFormats:
             assert copy._bulk_eval is None
             items = list(original.schema.product.all_items())
             assert evaluator_for(copy).truths(items) == evaluator_for(original).truths(items)
+
+
+class TestLoadAndSnapshots:
+    """``SAVE``/``LOAD`` files and ``snapshot.bin`` are one format, and
+    a journalled session refuses ``LOAD``, which its journal cannot
+    record."""
+
+    def test_load_in_a_journalled_session_is_refused(self, tmp_path):
+        """An accepted ``LOAD`` would not be journalled, but the writes
+        after it would, and the next boot would replay them against the
+        catalog from before it."""
+        path = str(tmp_path / "other.db")
+        HQLExecutor(
+            database_from_script(
+                "CREATE HIERARCHY h; CREATE CLASS a IN h; CREATE RELATION x (v: h);"
+            )
+        ).run("SAVE '{}';".format(path))
+
+        _, database, session = boot(tmp_path / "data")
+        session.run("CREATE HIERARCHY h; CREATE CLASS a IN h;")
+        try:
+            session.run("LOAD '{}';".format(path))
+            refused = None
+        except HQLError as exc:
+            refused = exc
+        try:
+            session.run("ASSERT x (a);")
+        except CatalogError:
+            pass
+        _, recovered, _ = boot(tmp_path / "data")
+        assert refused is not None and "LOAD is refused" in str(refused)
+        assert "x" not in database.relations  # the refusal touched nothing
+        assert sorted(recovered.hierarchies) == ["h"] and not recovered.relations
+        # The session keeps serving.
+        session.run("CREATE RELATION y (v: h); ASSERT y (a);")
+        assert session.run("TRUTH y (a);")[0].payload is True
+
+    def test_saved_file_boots_as_a_snapshot(self, tmp_path):
+        database = database_from_script(SETUP)
+        database.define_view("flyers", "union", ["flies", "flies"])
+        HQLExecutor(database).run("SAVE '{}';".format(tmp_path / "zoo.db"))
+        os.makedirs(str(tmp_path / "data"))
+        shutil.copyfile(str(tmp_path / "zoo.db"), str(tmp_path / "data" / SNAPSHOT_FILE))
+        manager, recovered, _ = boot(tmp_path / "data")
+        assert manager.last_recovery["snapshot"] is True
+        assert_same_database(recovered, database)
+
+    def test_checkpointed_snapshot_loads(self, tmp_path):
+        manager, database, session = boot(tmp_path)
+        session.run(SETUP)
+        manager.checkpoint(database)
+        served = HQLExecutor(database_from_script("CREATE HIERARCHY other;"))
+        served.run("LOAD '{}';".format(tmp_path / SNAPSHOT_FILE))
+        assert_same_database(served.database, database)
+        assert load_database(str(tmp_path / SNAPSHOT_FILE)).relation("flies").holds("tweety")
+
+
+def database_from_script(script):
+    database = HierarchicalDatabase("server")
+    database.execute(script)
+    return database
+
+
+def assert_same_database(got, expected):
+    assert sorted(got.hierarchies) == sorted(expected.hierarchies)
+    for name, hierarchy in expected.hierarchies.items():
+        assert set(got.hierarchy(name).edges()) == set(hierarchy.edges())
+        assert got.hierarchy(name).version == hierarchy.version
+    assert sorted(got.relations) == sorted(expected.relations)
+    for name, relation in expected.relations.items():
+        assert got.relation(name).asserted == relation.asserted
+        assert got.relation(name).version == relation.version
+    assert got.view_definitions == expected.view_definitions

@@ -19,6 +19,7 @@ from repro.errors import (
     RemoteError,
     ReplicationError,
     ServerError,
+    StorageError,
 )
 from repro.replication import (
     FollowerState,
@@ -186,6 +187,27 @@ class TestHelpers:
         assert load_generation(str(tmp_path)) == 0
         assert bump_generation(str(tmp_path)) == 1
         assert bump_generation(str(tmp_path)) == 2
+
+    def test_failed_generation_write_keeps_the_old_generation(self, tmp_path, monkeypatch):
+        """The ``generation`` file goes through the crash-safe writer: a
+        full disk fails the leader's boot with a typed error instead of
+        leaving a torn file that reads as generation 0."""
+        import errno
+        import os
+
+        from repro.engine import storage
+
+        assert bump_generation(str(tmp_path)) == 1
+
+        def disk_full(path, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(storage, "write_bytes_atomic", disk_full)
+        with pytest.raises(StorageError, match="generation"):
+            LeaderState(str(tmp_path), 0)
+        monkeypatch.undo()
+        assert load_generation(str(tmp_path)) == 1
+        assert LeaderState(str(tmp_path), 0).generation == 2
 
     def test_read_only_script_classification(self):
         assert is_read_only_script("COUNT flies; TRUTH flies (bird);") is True

@@ -305,3 +305,38 @@ class TestShutdown:
     def test_database_and_data_dir_are_exclusive(self, tmp_path):
         with pytest.raises(ServerError):
             HQLServer(HierarchicalDatabase("x"), data_dir=str(tmp_path))
+
+
+class TestLoad:
+    """``LOAD`` replaces the served catalog from a saved file; a server
+    with a data directory refuses it, because its journal cannot
+    record it."""
+
+    def test_load_is_refused_on_a_durable_server(self, tmp_path):
+        saved = HierarchicalDatabase("saved")
+        saved.execute(SETUP)
+        saved.save(str(tmp_path / "saved.db"))
+        runner = ServerThread(HQLServer(data_dir=str(tmp_path / "data"), port=0))
+        host, port = runner.start()
+        try:
+            with make_client(port) as client:
+                with pytest.raises(RemoteError) as caught:
+                    client.execute("LOAD '{}';".format(tmp_path / "saved.db"))
+                assert caught.value.remote_type == "HQLError"
+                assert "LOAD is refused" in str(caught.value)
+                assert client.ping()
+                with pytest.raises(RemoteError, match="unknown relation"):
+                    client.truth("flies", ["tweety"])
+        finally:
+            runner.shutdown()
+
+    def test_load_replaces_the_catalog_of_a_server_without_one(self, live_server, tmp_path):
+        saved = HierarchicalDatabase("saved")
+        saved.execute(SETUP)
+        saved.save(str(tmp_path / "saved.db"))
+        server, host, port = live_server
+        with make_client(port) as client:
+            client.execute("CREATE HIERARCHY other;")
+            client.execute("LOAD '{}';".format(tmp_path / "saved.db"))
+            assert client.truth("flies", ["tweety"]) is True
+        assert sorted(server.database.hierarchies) == ["animal"]

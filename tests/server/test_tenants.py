@@ -12,6 +12,7 @@ databases.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 
@@ -22,6 +23,7 @@ from repro.engine import HierarchicalDatabase
 from repro.errors import (
     QuotaExceededError,
     RemoteError,
+    StorageError,
     TenantError,
     UnknownTenantError,
 )
@@ -139,6 +141,30 @@ class TestDurableRegistry:
         registry.create("alpha", TenantQuotas(max_tuples=7))
         registry2 = TenantRegistry.durable(str(tmp_path))
         assert registry2.get("alpha").quotas.max_tuples == 7
+
+    def test_failed_quota_write_keeps_the_old_quotas(self, tmp_path, monkeypatch):
+        """``tenant.json`` goes through the crash-safe writer: a full
+        disk leaves the old quotas in memory and on disk, and the
+        caller gets a typed error."""
+        from repro.engine import storage
+
+        registry = TenantRegistry.durable(str(tmp_path))
+        registry.create("alpha", TenantQuotas(max_tuples=7))
+
+        def disk_full(path, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(storage, "write_bytes_atomic", disk_full)
+        with pytest.raises(StorageError, match="tenant.json"):
+            registry.set_quotas("alpha", TenantQuotas(max_tuples=9))
+        assert registry.get("alpha").quotas.max_tuples == 7
+        # A tenant whose quotas could not be written is not created.
+        with pytest.raises(StorageError):
+            registry.create("beta")
+        assert "beta" not in registry
+        monkeypatch.undo()
+        assert TenantRegistry.durable(str(tmp_path)).get("alpha").quotas.max_tuples == 7
+        assert registry.create("beta").quotas == registry.default_quotas
 
     def test_corrupt_tenant_is_quarantined_not_fatal(self, tmp_path):
         registry = TenantRegistry.durable(str(tmp_path))

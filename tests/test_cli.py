@@ -40,7 +40,7 @@ class TestRun:
         script.write_text(
             "CREATE HIERARCHY h; CREATE RELATION r (x: h); ASSERT r (h);"
         )
-        out_db = tmp_path / "out.json"
+        out_db = tmp_path / "out.db"
         assert main(["run", str(script), "--save", str(out_db), "--quiet"]) == 0
         loaded = HierarchicalDatabase.load(str(out_db))
         assert loaded.relation("r").holds("h")
@@ -48,7 +48,7 @@ class TestRun:
     def test_run_against_loaded_db(self, tmp_path, capsys):
         base = HierarchicalDatabase("base")
         base.execute("CREATE HIERARCHY h; CREATE RELATION r (x: h); ASSERT r (h);")
-        db_path = tmp_path / "base.json"
+        db_path = tmp_path / "base.db"
         base.save(str(db_path))
         script = tmp_path / "query.hql"
         script.write_text("COUNT r;")
@@ -81,7 +81,7 @@ class TestRepl:
 
 class TestServeAndConnect:
     def test_serve_rejects_db_plus_data_dir(self, tmp_path, capsys):
-        db = tmp_path / "x.json"
+        db = tmp_path / "x.db"
         HierarchicalDatabase("x").save(str(db))
         code = main(
             ["serve", "--db", str(db), "--data-dir", str(tmp_path / "d")]
@@ -94,6 +94,6 @@ class TestServeAndConnect:
         assert "error: cannot connect" in capsys.readouterr().out
 
     def test_repl_load_error_is_user_message(self, capsys):
-        assert main(["repl", "/no/such/db.json"]) == 1
+        assert main(["repl", "/no/such/db.db"]) == 1
         out = capsys.readouterr().out
         assert "error: no such database file" in out

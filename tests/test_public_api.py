@@ -122,6 +122,31 @@ class TestNoKnobComesBack:
         with pytest.raises(ValueError):
             HQLClient(wire_format="json")
 
+    def test_one_database_format(self, tmp_path):
+        """A saved database is a snapshot: the JSON format's reader,
+        writer and version constants are gone, and ``SAVE`` writes the
+        ``RDB2`` container a data directory's ``snapshot.bin`` holds."""
+        import inspect
+
+        import repro.server.replication  # imports repro.replication without the cycle
+        from repro.engine import HierarchicalDatabase, storage
+        from repro.replication import follower
+
+        functions = {
+            name
+            for name, value in vars(storage).items()
+            if inspect.isfunction(value) and value.__module__ == storage.__name__
+        }
+        assert functions == {
+            "write_bytes_atomic", "read_bytes", "save_database", "read_database", "load_database"
+        }
+        assert not [name for name in vars(storage) if name.isupper()]  # no format constants
+        assert not hasattr(follower, "adopt_database")
+        assert not hasattr(repro.server.replication, "adopt_database")
+        path = tmp_path / "zoo.db"
+        HierarchicalDatabase("zoo").execute("SAVE '{}';".format(path))
+        assert path.read_bytes()[:4] == b"RDB2"
+
     def test_planner_decides_nothing(self):
         """No plan, no estimate, no settable value: ``repro.planner``
         keeps only the statistics the benchmark times, and nothing in
