@@ -15,6 +15,7 @@ no item is below any other.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -26,6 +27,10 @@ from repro.core.schema import RelationSchema
 from repro.errors import TupleError
 from repro.hierarchy.graph import Hierarchy
 from repro.hierarchy.product import Item
+
+#: Creation serials, process-wide: no two relation objects (copies
+#: included) ever share one, so a stamp taken of one never matches another.
+_serials = itertools.count(1)
 
 
 class HRelation:
@@ -67,6 +72,7 @@ class HRelation:
         #: Insertion-ordered (dicts preserve it) item -> truth mapping;
         #: doubles as the insertion record, so retraction is O(1).
         self._tuples: Dict[Item, bool] = {}
+        self._serial = next(_serials)
         self._version = 0
         #: The one derived binding structure: the memoised, delta-advanced
         #: :class:`~repro.core.bulk.BulkEvaluator` every truth question reads.
@@ -146,9 +152,12 @@ class HRelation:
         version after a restart as before it (no memo keyed on it
         outlives the process), and the delta floor advances to it, so
         incremental consumers see "history unavailable" rather than a
-        bogus empty delta.
+        bogus empty delta.  The relation takes a fresh creation serial:
+        other tuples at a restored version must not match an old
+        :meth:`stamp`.
         """
         self._tuples = {tuple(item): bool(truth) for item, truth in pairs}
+        self._serial = next(_serials)
         self._version = len(self._tuples) if version is None else version
         self._delta_log = []
         self._delta_floor = self._version
@@ -203,6 +212,25 @@ class HRelation:
     def version(self) -> int:
         return self._version
 
+    def stamp(self) -> Tuple:
+        """Everything a derived relation computed from this one depends
+        on: ``(creation serial, version, product version, strategy)``.
+
+        The version moves on every tuple mutation and the product
+        version on every hierarchy mutation; the strategy name guards
+        against in-place strategy reassignment, which bumps no counter.
+        The serial tells apart two objects at equal versions (DROP +
+        CREATE, an alias rebind, ``LOAD``, a copy), so a stamp matches
+        only the very object, in the very state, it was taken of.  The
+        query cache and materialized views both key on it.
+        """
+        return (
+            self._serial,
+            self._version,
+            tuple(self.schema.product.version),
+            self.strategy.name,
+        )
+
     def changes_since(self, version: int) -> Optional[List[Item]]:
         """The items mutated after ``version`` (assert, retract, or sign
         flip), oldest first, or ``None`` when that history is no longer
@@ -244,12 +272,13 @@ class HRelation:
 
         The version counter and delta log carry over, so a copy staged by
         a transaction and later installed in place of the original reads
-        as a *continuation* of its history: version stamps stay
-        monotonic (query-cache keys cannot collide with the original's)
-        and ``changes_since`` keeps working across the swap.  So do the
-        memoised bulk evaluator (an immutable snapshot, shared as it is;
-        the copy then advances it by its own writes instead of sweeping
-        from cold) and the conflict-free stamp.
+        as a *continuation* of its history: ``changes_since`` keeps
+        working across the swap.  So do the memos keyed by version: the
+        bulk evaluator (an immutable snapshot, shared as it is; the copy
+        then advances it by its own writes instead of sweeping from
+        cold) and the conflict-free stamp.  The copy draws its own
+        creation serial, so its :meth:`stamp` never matches the
+        original's.
         """
         out = HRelation(self.schema, name=name or self.name, strategy=self.strategy)
         out._tuples = dict(self._tuples)

@@ -1,11 +1,11 @@
 """Materialized views over hierarchical relations.
 
 A view is a named operator result that callers can query like a stored
-relation.  Its answer is its defining query run now: every layer of this
-library is versioned (relations bump a counter per mutation, hierarchies
-too), so the view stamps its cache with the source objects and their
-versions and recomputes lazily, in full, on the first read after any of
-them moves.
+relation.  Its answer is its defining query run now: the view remembers
+the :meth:`~repro.core.relation.HRelation.stamp` of every source it was
+computed from (creation serial, version, product version, strategy) and
+recomputes lazily, in full, on the first read after any of them moves.
+The engine's query cache decides freshness by the same stamp.
 
 This rounds out the paper's positioning of the model as a back-end for
 reasoning systems: the front end "issues less queries to the database"
@@ -16,7 +16,8 @@ Read-only handles
 :meth:`MaterializedView.relation` returns a :class:`ViewRelation` — the
 cached object itself, guarded so that callers cannot corrupt the cache
 by mutating what they were handed.  Use ``view.relation().copy()`` for
-a private mutable copy.
+a private mutable copy.  The query cache serves its relation results
+the same way.
 
 Examples
 --------
@@ -44,14 +45,8 @@ from repro.errors import ViewError
 Source = Union[HRelation, Callable[[], HRelation]]
 
 
-def _stamp(sources: Sequence[HRelation]) -> Tuple:
-    return tuple(
-        (r.version, r.schema.product.version, r.strategy.name) for r in sources
-    )
-
-
 class ViewRelation(HRelation):
-    """The read-only handle a view hands out.
+    """The read-only handle a view or the query cache hands out.
 
     It *is* the cached relation (no per-access copy), but every mutator
     raises :class:`ViewError`: historically ``view.relation()`` returned
@@ -61,9 +56,9 @@ class ViewRelation(HRelation):
 
     def _refuse(self, operation: str) -> None:
         raise ViewError(
-            "{!r} is a materialized-view result; {} would corrupt the view "
-            "cache.  Mutate the view's sources, or take a private copy "
-            "with .copy() first.".format(self.name, operation)
+            "{!r} is a cached derived relation; {} would corrupt the "
+            "cache.  Mutate its sources, or take a private copy with "
+            ".copy() first.".format(self.name, operation)
         )
 
     def assert_item(self, item, truth: bool = True, replace: bool = False) -> None:
@@ -81,12 +76,16 @@ class ViewRelation(HRelation):
     @classmethod
     def adopt(cls, relation: HRelation, name: str) -> "ViewRelation":
         """Wrap a freshly computed relation (storage is taken over, not
-        copied — the input must be private to the caller)."""
+        copied — the input must be private to the caller).  The handle
+        has its own creation serial and inherits the memos keyed by
+        version, as a copy does."""
         out = cls(relation.schema, name=name, strategy=relation.strategy)
         out._tuples = relation._tuples
         out._version = relation._version
         out._delta_log = relation._delta_log
         out._delta_floor = relation._delta_floor
+        out._bulk_eval = relation._bulk_eval
+        out._consistent_at = relation._consistent_at
         return out
 
 
@@ -168,8 +167,9 @@ class MaterializedView:
         The view's name (stamped onto the cached relation).
     plan:
         The definition: a :class:`ViewPlan`.  The cache is stale when
-        any of its sources (or any of their hierarchies) mutates, or
-        when a source name resolves to a different object.
+        the :meth:`~repro.core.relation.HRelation.stamp` of any source
+        moved: a source (or one of its hierarchies) mutated, or a source
+        name resolves to a different object.
     """
 
     def __init__(self, name: str, plan: ViewPlan) -> None:
@@ -177,11 +177,8 @@ class MaterializedView:
         self._plan = plan
         self._source_spec: List[Source] = list(plan.sources)
         self._cached: Optional[ViewRelation] = None
-        #: The source objects the cache was computed from, compared by
-        #: identity: a replacement can reach the old object's version
-        #: (and, once the old one is collected, its ``id``).
-        self._computed_from: List[HRelation] = []
-        self._stamp: Optional[Tuple] = None
+        #: The stamps of the sources the cache was computed from.
+        self._computed_at: Optional[Tuple] = None
         self.refresh_count = 0
 
     # ------------------------------------------------------------------
@@ -191,40 +188,27 @@ class MaterializedView:
     def _resolve_sources(self) -> List[HRelation]:
         return [s() if callable(s) else s for s in self._source_spec]
 
-    def _fresh(self, sources: Sequence[HRelation]) -> bool:
-        return (
-            self._cached is not None
-            and all(a is b for a, b in zip(sources, self._computed_from))
-            and self._stamp == _stamp(sources)
-        )
-
     def is_stale(self) -> bool:
         """Would :meth:`relation` recompute right now?"""
-        return not self._fresh(self._resolve_sources())
+        stamps = tuple(source.stamp() for source in self._resolve_sources())
+        return stamps != self._computed_at
 
     def relation(self) -> HRelation:
         """The view's current contents as a read-only handle, recomputed
         only when stale."""
         sources = self._resolve_sources()
-        if self._fresh(sources):
+        stamps = tuple(source.stamp() for source in sources)
+        if stamps == self._computed_at:
             _obs.default_registry().counter("views.serve.fresh").inc()
             return self._cached
         with _obs.span("view.refresh", view=self.name) as sp:
             computed = self._plan.compute(sources, self.name)
             self._cached = ViewRelation.adopt(computed, self.name)
-            self._computed_from = list(sources)
-            self._stamp = _stamp(sources)
+            self._computed_at = stamps
             self.refresh_count += 1
             _obs.default_registry().counter("views.refresh.full").inc()
             sp.annotate(tuples=len(self._cached))
         return self._cached
-
-    def invalidate(self) -> None:
-        """Force the next access to recompute (e.g. after an effectful
-        change the stamps cannot see)."""
-        self._cached = None
-        self._computed_from = []
-        self._stamp = None
 
     def truth_of(self, item) -> bool:
         return self.relation().truth_of(item)

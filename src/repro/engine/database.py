@@ -45,10 +45,9 @@ class HierarchicalDatabase:
         #: :func:`repro.obs.default_registry` instead.  ``STATS;``
         #: renders both.
         self.metrics = MetricsRegistry()
-        #: Engine-level result cache for read-only HQL statements.
-        #: Version stamps in the keys make DML invalidation implicit;
-        #: the DDL paths below call :meth:`QueryCache.invalidate_relation`
-        #: whenever an *object* is replaced under an existing name.
+        #: Engine-level result cache for read-only HQL statements.  Its
+        #: keys carry each source's stamp, so no DDL path here tells it
+        #: anything: a replaced object has a new creation serial.
         self.query_cache = QueryCache(registry=self.metrics)
         self.views = ViewRegistry()
         #: Declarative record of every :meth:`define_view` call
@@ -128,16 +127,12 @@ class HierarchicalDatabase:
                 ) from None
         relation = HRelation(RelationSchema(resolved), name=name, strategy=strategy)
         self.relations[name] = relation
-        # A fresh object may reuse a dropped relation's name with a
-        # colliding version counter; stale entries must not survive.
-        self.query_cache.invalidate_relation(name)
         return relation
 
     def register_relation(self, relation: HRelation) -> HRelation:
         if relation.name in self.relations:
             raise CatalogError("relation {!r} already exists".format(relation.name))
         self.relations[relation.name] = relation
-        self.query_cache.invalidate_relation(relation.name)
         return relation
 
     def relation(self, name: str) -> HRelation:
@@ -150,7 +145,6 @@ class HierarchicalDatabase:
         if name not in self.relations:
             raise CatalogError("unknown relation {!r}".format(name))
         del self.relations[name]
-        self.query_cache.invalidate_relation(name)
 
     def drop_hierarchy(self, name: str) -> None:
         hierarchy = self.hierarchy(name)
@@ -277,7 +271,6 @@ class HierarchicalDatabase:
         before = len(relation)
         compacted = relation.consolidated()
         self.relations[relation_name] = compacted
-        self.query_cache.invalidate_relation(relation_name)
         return before - len(compacted)
 
     def explicate_in_place(
@@ -288,7 +281,6 @@ class HierarchicalDatabase:
         before = len(relation)
         flattened = relation.explicated(attributes)
         self.relations[relation_name] = flattened
-        self.query_cache.invalidate_relation(relation_name)
         return len(flattened) - before
 
     # ------------------------------------------------------------------
@@ -309,9 +301,9 @@ class HierarchicalDatabase:
         Sessions, servers and metrics hold this database *object*, so
         its contents are swapped rather than the object.  Views are
         re-planned here so their resolvers track this catalog, not the
-        donor's, and the query cache is cleared: every catalogued
-        object was replaced and its version counters restarted.  A
-        server caller must hold the write lock.
+        donor's.  The query cache is left alone: every adopted relation
+        is a new object, so no cached stamp matches it.  A server caller
+        must hold the write lock.
         """
         self.name = source.name
         self.hierarchies = source.hierarchies
@@ -320,7 +312,6 @@ class HierarchicalDatabase:
             self.drop_view(name)
         for name, spec in source.view_definitions.items():
             self.define_view(name, spec["op"], spec["sources"], spec["conditions"] or None)
-        self.query_cache.clear()
 
     def save(self, path: str) -> None:
         from repro.engine.storage import save_database

@@ -18,9 +18,10 @@ from repro.core import algebra, bulk
 from repro.core.binding import justify as _justify
 from repro.core.conflicts import find_conflicts
 from repro.core.relation import HRelation
+from repro.core.views import ViewRelation
 from repro.engine.hql import ast
 from repro.engine.hql.parser import parse
-from repro.engine.querycache import MISS, cache_key, key_source_names
+from repro.engine.querycache import MISS, cache_key
 from repro.errors import CatalogError, HQLError
 from repro.obs import Span, default_registry, render_span_tree
 from repro.obs import trace as _trace
@@ -212,18 +213,12 @@ class HQLExecutor:
         return self.database.relation(name)
 
     def _store(self, relation, alias: Optional[str]) -> Result:
+        """The statement's result; bound to ``alias`` (created, or
+        rebinding the name) as a private copy, the only copy a result
+        ever takes: a cached result stays untouched by writes to it."""
         if alias:
-            relation.name = alias
-            if alias in self.database.relations:
-                # Rebinding an existing name replaces the object; its
-                # version counter restarts, so stamps alone cannot see
-                # the swap and the cache must be told explicitly.
-                self.database.relations[alias] = relation
-                cache = self._query_cache()
-                if cache is not None:
-                    cache.invalidate_relation(alias)
-            else:
-                self.database.register_relation(relation)
+            relation = relation.copy(name=alias)
+            self.database.relations[alias] = relation
         return Result(
             kind="relation",
             payload=relation,
@@ -318,23 +313,25 @@ class HQLExecutor:
         return None
 
     def _through_cache(self, key: Optional[Tuple], compute):
-        """Serve ``compute()`` through the database's query cache.
+        """Serve ``compute()`` through the database's query cache
+        (``key`` is ``None`` when the statement bypasses it).
 
-        Relation payloads are stored as private copies and served as
-        copies, so neither a later alias rebind nor a caller mutating
-        the result can corrupt the cached entry.
+        A relation result is a read-only
+        :class:`~repro.core.views.ViewRelation` handle, cached or not,
+        hit or miss: the cache stores the handle and hands it out as it
+        is, with no copy on either side.
         """
-        cache = self._query_cache()
-        if key is None or cache is None:
-            return compute()
-        hit = cache.get(key)
-        if hit is not MISS:
-            _trace.annotate(cache="hit")
-            return hit.copy(name=hit.name) if isinstance(hit, HRelation) else hit
-        _trace.annotate(cache="miss")
+        if key is not None:
+            hit = self._query_cache().get(key)
+            if hit is not MISS:
+                _trace.annotate(cache="hit")
+                return hit
+            _trace.annotate(cache="miss")
         result = compute()
-        payload = result.copy(name=result.name) if isinstance(result, HRelation) else result
-        cache.put(key, payload, source_names=key_source_names(key))
+        if isinstance(result, HRelation):
+            result = ViewRelation.adopt(result, result.name)
+        if key is not None:
+            self._query_cache().put(key, result)
         return result
 
     # ------------------------------------------------------------------

@@ -100,9 +100,9 @@ class CatalogError(ReproError):
 
 
 class ViewError(ReproError):
-    """Misuse of a materialized view — most commonly an attempt to
-    mutate the view's cached relation through the read-only handle
-    (``view.relation().copy()`` yields a mutable private copy)."""
+    """Misuse of a cached derived relation — most commonly an attempt
+    to mutate a view's or the query cache's relation through its
+    read-only handle (``.copy()`` yields a mutable private copy)."""
 
 
 class HQLError(ReproError):

@@ -27,7 +27,7 @@ Follower side
 :class:`FollowerTask` drives one replica: bootstrap (snapshot fetch +
 in-place adoption + journal tail), then the poll/apply loop.  Batches
 apply under the server's exclusive lock via the ordinary executor paths,
-so version counters advance and the query cache invalidates exactly as
+so version counters advance and cached results go stale exactly as
 for local writes.  Duplicate delivery (a retransmitted batch after a
 reconnect) is dropped by generation+offset dedup in
 :meth:`FollowerTask.apply_batch`.
@@ -45,12 +45,12 @@ from typing import Any, Dict, Optional
 
 from repro.engine import codec, storage
 from repro.errors import ReplicationError
-from repro.replication import (
-    FollowerState,
-    LeaderLink,
-    LeaderState,
-    decode_snapshot_payload,
-)
+# ``repro.replication.follower`` imports ``repro.server`` (for the
+# protocol), which imports this module: when ``repro.replication`` is
+# imported first, ``follower`` is still half-built here, so it is bound
+# as a module and read at call time.
+from repro.replication import follower as _follower
+from repro.replication.state import FollowerState, LeaderState
 
 #: Default ceiling on one leader-side long poll; the follower re-polls
 #: immediately after, so this bounds connection-loss detection and the
@@ -220,7 +220,7 @@ class FollowerTask:
         self.leader_addr = leader_addr
         self.poll_wait_s = poll_wait_s
         self.retry_s = retry_s
-        self.link: Optional[LeaderLink] = None
+        self.link: Optional[_follower.LeaderLink] = None
         self._task: Optional[asyncio.Task] = None
         self._stopping = False
 
@@ -282,7 +282,7 @@ class FollowerTask:
 
     async def _connect(self) -> None:
         listen = "{}:{}".format(self.server.host, self.server.port) if self.server.port else None
-        link = LeaderLink(
+        link = _follower.LeaderLink(
             self.leader_addr,
             self.follower_id,
             listen_addr=listen,
@@ -300,7 +300,7 @@ class FollowerTask:
     async def _resync(self, generation: int) -> None:
         started = time.perf_counter()
         payload = await self.link.fetch_snapshot()
-        database, checkpoint = await asyncio.to_thread(decode_snapshot_payload, payload)
+        database, checkpoint = await asyncio.to_thread(_follower.decode_snapshot_payload, payload)
         async with self.server.lock.write_locked():
             await asyncio.to_thread(self.server.database.adopt, database)
         self.state.generation = int(payload.get("generation") or generation)

@@ -254,7 +254,9 @@ class Tenant:
         state, and (when quarantined) the bootstrap failure."""
         if self.quarantined is not None:
             return {"quarantined": self.quarantined}
-        cache = self.database.query_cache
+        metrics = self.database.metrics
+        hits = metrics.counter("querycache.hits").value
+        misses = metrics.counter("querycache.misses").value
         info: Dict[str, object] = {
             "database": self.database.name,
             "relations": len(self.database.relations),
@@ -263,10 +265,10 @@ class Tenant:
             "statements": self.m_statements.snapshot(),
             "errors": self.m_errors.snapshot(),
             "cache": {
-                "entries": len(cache),
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": round(cache.hit_rate, 4),
+                "entries": metrics.gauge("querycache.entries").value,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
             },
             "quotas": {
                 **self._quotas.to_dict(),
@@ -492,8 +494,6 @@ class TenantRegistry:
             tenant = self.tenants.pop(name)
         except KeyError:
             raise UnknownTenantError(name, self.tenants) from None
-        if tenant.database is not None:
-            tenant.database.query_cache.clear()
         if self.data_dir is not None:
             shutil.rmtree(self._tenant_dir(name), ignore_errors=True)
         return tenant

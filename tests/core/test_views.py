@@ -65,12 +65,6 @@ class TestMaterializedView:
     def test_len(self, flyers_view):
         assert len(flyers_view) == len(flyers_view.relation())
 
-    def test_invalidate_forces_refresh(self, flyers_view):
-        flyers_view.relation()
-        flyers_view.invalidate()
-        flyers_view.relation()
-        assert flyers_view.refresh_count == 2
-
     def test_name_applied(self, flyers_view):
         assert flyers_view.relation().name == "penguin_flyers"
 

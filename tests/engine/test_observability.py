@@ -145,7 +145,6 @@ class TestQueryCacheCounterPromotion:
         assert isinstance(QueryCache.hits, property)
         assert isinstance(QueryCache.misses, property)
         assert isinstance(QueryCache.evictions, property)
-        assert isinstance(QueryCache.invalidations, property)
 
     def test_hit_rate(self, db):
         assert db.query_cache.hit_rate == 0.0

@@ -1,12 +1,14 @@
 """The engine query-result cache: the store itself and its executor
-wiring (hits, misses, invalidation, transaction bypass, EXPLAIN)."""
+wiring (hits, misses, stamps, read-only results, transaction bypass,
+EXPLAIN)."""
 
 import pytest
 
 from repro.engine import HierarchicalDatabase
 from repro.engine.hql import HQLExecutor
-from repro.engine.querycache import MISS, QueryCache, cache_key, source_stamp
-from repro.errors import HQLSyntaxError
+from repro.core.views import ViewRelation
+from repro.engine.querycache import MISS, QueryCache, cache_key
+from repro.errors import HQLSyntaxError, ViewError
 
 SETUP = """
 CREATE HIERARCHY animal;
@@ -35,7 +37,7 @@ class TestQueryCacheStore:
         cache = QueryCache()
         key = cache_key("select", ("x",), [db.relation("flies")])
         assert cache.get(key) is MISS
-        cache.put(key, "payload", source_names=["flies"])
+        cache.put(key, "payload")
         assert cache.get(key) == "payload"
         assert cache.hits == 1 and cache.misses == 1
 
@@ -69,23 +71,25 @@ class TestQueryCacheStore:
         cache.put(key, "payload")
         assert len(cache) == 0
 
-    def test_invalidate_relation_by_name(self, db):
+    def test_drop_and_create_at_equal_version_misses(self, db):
+        """A relation replaced under its name at an equal version keys
+        differently: nothing has to tell the cache about the swap."""
         cache = QueryCache()
-        flies, swims = db.relation("flies"), db.relation("swims")
-        k1 = cache_key("select", (), [flies])
-        k2 = cache_key("union", (), [flies, swims])
-        k3 = cache_key("select", (), [swims])
-        for key in (k1, k2, k3):
-            cache.put(key, "x", source_names=[s[0] for s in key[2]])
-        assert cache.invalidate_relation("flies") == 2
-        assert cache.get(k1) is MISS and cache.get(k2) is MISS
-        assert cache.get(k3) == "x"
+        old = db.relation("flies")
+        key = cache_key("select", (), [old])
+        cache.put(key, "old answer")
+        db.execute("DROP RELATION flies; CREATE RELATION flies (creature: animal);")
+        db.execute("ASSERT flies (penguin); ASSERT NOT flies (paul);")
+        new = db.relation("flies")
+        assert new.version == old.version and new.name == old.name
+        assert cache.get(cache_key("select", (), [new])) is MISS
+        assert cache.get(key) == "old answer"
 
     def test_version_stamp_distinguishes_states(self, db):
         flies = db.relation("flies")
-        before = source_stamp(flies)
+        before = flies.stamp()
         flies.assert_item(("tweety",))
-        assert source_stamp(flies) != before
+        assert flies.stamp() != before
 
     def test_key_collision_safety(self, db):
         """Distinct statements must map to distinct keys even when they
@@ -123,11 +127,31 @@ class TestExecutorIntegration:
         assert (before.payload, after.payload) == (1, 0)
         assert db.query_cache.hits == 0  # the stamp moved: a miss, not a stale hit
 
-    def test_served_copy_is_isolated(self, db):
+    def test_served_result_is_read_only(self, db):
         (first,) = db.execute("SELECT FROM flies WHERE creature = bird;")
-        first.payload.clear()  # vandalise the handed-out copy
+        assert isinstance(first.payload, ViewRelation)
+        before = sorted(first.payload.extension())
+        with pytest.raises(ViewError):
+            first.payload.clear()  # try to vandalise the handed-out result
         (second,) = db.execute("SELECT FROM flies WHERE creature = bird;")
-        assert len(list(second.payload.extension())) > 0
+        assert second.payload is first.payload  # a hit hands out the same handle
+        assert sorted(second.payload.extension()) == before
+        private = second.payload.copy()
+        private.clear()  # a copy is private and mutable
+        assert sorted(second.payload.extension()) == before
+
+    def test_bound_alias_leaves_the_cached_entry_untouched(self, db):
+        """``AS`` binds a private copy: writing to the name cannot reach
+        the cached result, however often the same answer is bound."""
+        query = "SELECT FROM flies WHERE creature = bird"
+        db.execute(query + " AS s;")
+        db.execute(query + " AS s;")
+        assert db.query_cache.stats()["hits"] == 1
+        db.execute("RETRACT s (bird); ASSERT s (paul);")
+        assert sorted(db.relation("s").asserted) == [("paul",), ("penguin",)]
+        (again,) = db.execute(query + ";")
+        assert db.query_cache.stats()["hits"] == 2
+        assert dict(again.payload.asserted) == {("bird",): True, ("penguin",): False}
 
     def test_truth_and_count_cached(self, db):
         """Only COUNT of the two is cached; TRUTH reads the evaluator."""

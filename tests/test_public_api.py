@@ -1,6 +1,17 @@
 """The public API surface: imports, __all__, and the README quickstart."""
 
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
 import repro
+
+SUBPACKAGES = sorted(
+    module.name for module in pkgutil.iter_modules(repro.__path__) if module.ispkg
+)
 
 
 class TestSurface:
@@ -25,6 +36,22 @@ class TestSurface:
         for module in (repro.core, repro.hierarchy, repro.flat):
             for name in module.__all__:
                 assert hasattr(module, name), name
+
+    @pytest.mark.parametrize("name", SUBPACKAGES)
+    def test_subpackage_imports_first_in_a_fresh_interpreter(self, name):
+        """Each subpackage imports on its own, before anything else in
+        the package: one process imports them in some order and can
+        hide an import cycle that the first import of another would hit."""
+        root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=root)
+        done = subprocess.run(
+            [sys.executable, "-c", "import repro.{}".format(name)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestNoKnobComesBack:
@@ -128,7 +155,7 @@ class TestNoKnobComesBack:
         ``RDB2`` container a data directory's ``snapshot.bin`` holds."""
         import inspect
 
-        import repro.server.replication  # imports repro.replication without the cycle
+        import repro.server.replication
         from repro.engine import HierarchicalDatabase, storage
         from repro.replication import follower
 
@@ -195,6 +222,48 @@ class TestNoKnobComesBack:
         assert "cost_ms" not in inspect.signature(querycache.QueryCache.put).parameters
         init = inspect.signature(querycache.QueryCache.__init__).parameters
         assert list(init) == ["self", "maxsize", "registry"]
+
+
+    def test_one_freshness_rule(self):
+        """The query cache and materialized views decide freshness by one
+        stamp, ``HRelation.stamp()``: nothing invalidates either cache,
+        so the database and the tenant registry never reach the query
+        cache after building it, and views pin no source object."""
+        import inspect
+        import pathlib
+        from unittest import mock
+
+        from repro.core import views
+        from repro.core.relation import HRelation
+        from repro.engine import querycache
+        from repro.hierarchy import Hierarchy
+
+        put = inspect.signature(querycache.QueryCache.put).parameters
+        assert list(put) == ["self", "key", "payload"]
+        for gone in ("invalidate_relation", "invalidations", "_unindex"):
+            assert not hasattr(querycache.QueryCache, gone), gone
+        assert not hasattr(querycache, "source_stamp")
+        assert not hasattr(querycache, "key_source_names")
+        assert not hasattr(views, "_stamp")
+        assert not hasattr(views.MaterializedView, "invalidate")
+
+        package = pathlib.Path(repro.__file__).parent
+        database = (package / "engine" / "database.py").read_text()
+        (line,) = [line for line in database.splitlines() if "query_cache" in line]
+        assert line.strip().startswith("self.query_cache = QueryCache(")
+        assert "query_cache" not in (package / "tenants" / "registry.py").read_text()
+
+        relation = HRelation([("a", Hierarchy("h"))])
+        with mock.patch.object(HRelation, "stamp", autospec=True, return_value=(0,)) as stamp:
+            querycache.cache_key("select", (), [relation])
+            assert stamp.call_count == 1
+            plan = views.ViewPlan("union", [relation, relation])
+            with mock.patch.object(plan, "compute", return_value=relation.copy()):
+                view = views.MaterializedView("v", plan)
+                view.relation()
+                assert stamp.call_count == 3
+                view.relation()  # fresh: the same stamps, no recompute
+                assert stamp.call_count == 5 and view.refresh_count == 1
 
 
 class TestQuickstart:
