@@ -169,7 +169,11 @@ class Transaction:
                     metrics.counter("txn.conflicts_rejected").inc()
                 raise InconsistentRelationError(all_conflicts)
             for name, relation in self._staged.items():
-                self._database.relations[name] = relation
+                # A fork whose version did not move holds its base's
+                # tuples; keeping the base keeps its stamp, so a write
+                # that changed nothing leaves cached results fresh.
+                if relation.version != self._bases[name].version:
+                    self._database.relations[name] = relation
             self._finished = True
         if metrics is not None:
             metrics.counter("txn.commits").inc()

@@ -127,6 +127,16 @@ class TestExecutorIntegration:
         assert (before.payload, after.payload) == (1, 0)
         assert db.query_cache.hits == 0  # the stamp moved: a miss, not a stale hit
 
+    def test_write_that_changes_nothing_keeps_the_cache_warm(self, db):
+        """Re-asserting a stored tuple commits no new relation object,
+        so the source's stamp, and the cached answer over it, hold."""
+        flies = db.relation("flies")
+        db.execute("SELECT FROM flies WHERE creature = bird;")
+        db.execute("ASSERT flies (bird);")
+        assert db.relation("flies") is flies
+        db.execute("SELECT FROM flies WHERE creature = bird;")
+        assert db.query_cache.stats()["hits"] == 1
+
     def test_served_result_is_read_only(self, db):
         (first,) = db.execute("SELECT FROM flies WHERE creature = bird;")
         assert isinstance(first.payload, ViewRelation)
