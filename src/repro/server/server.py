@@ -305,9 +305,8 @@ class HQLServer:
 
     def drop_tenant(self, name: str):
         """Drop a tenant and reclaim everything sessions hold against
-        it: open cursors are reaped, staged transactions rolled back,
-        and the tenant's query cache cleared (by the registry).  The
-        sessions stay connected — their next statement reports the
+        it: open cursors are reaped and staged transactions rolled
+        back.  The sessions stay connected — their next statement reports the
         tenant as gone until they ``use`` another."""
         tenant = self.registry.drop(name)
         tenant.dropped = True

@@ -4,9 +4,9 @@ EXPLAIN)."""
 
 import pytest
 
+from repro.core.views import ViewRelation
 from repro.engine import HierarchicalDatabase
 from repro.engine.hql import HQLExecutor
-from repro.core.views import ViewRelation
 from repro.engine.querycache import MISS, QueryCache, cache_key
 from repro.errors import HQLSyntaxError, ViewError
 

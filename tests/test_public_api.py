@@ -223,7 +223,6 @@ class TestNoKnobComesBack:
         init = inspect.signature(querycache.QueryCache.__init__).parameters
         assert list(init) == ["self", "maxsize", "registry"]
 
-
     def test_one_freshness_rule(self):
         """The query cache and materialized views decide freshness by one
         stamp, ``HRelation.stamp()``: nothing invalidates either cache,
